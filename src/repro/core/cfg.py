@@ -18,7 +18,6 @@ surrogates, entry/exit) are marked so tools pick an editable spot; the
 paper reports 15-20% of blocks/edges are uneditable.
 """
 
-from repro.core.instruction import instruction_for
 from repro.isa.base import Category
 from repro.obs import metrics as _metrics
 from repro.obs.trace import span as _span
@@ -221,9 +220,6 @@ class CFG:
     # ------------------------------------------------------------------
     # Construction
     # ------------------------------------------------------------------
-    def _instruction(self, addr):
-        return instruction_for(self.codec, self.executable.word_at(addr))
-
     def _new_block(self, kind, start=None):
         block = BasicBlock(len(self.blocks), kind, start)
         self.blocks.append(block)
@@ -320,10 +316,10 @@ class CFG:
         self.exit = self._new_block(BK_EXIT)
 
         # Normal blocks from the discovered linear runs.
+        table = discovery.table
         for start, addrs in discovery.runs():
             block = self._new_block(BK_NORMAL, start)
-            for addr in addrs:
-                block.instructions.append((addr, self._instruction(addr)))
+            block.instructions = [(addr, table[addr]) for addr in addrs]
             self.block_at[start] = block
 
         for entry_addr in sorted(discovery.entries):
@@ -340,7 +336,8 @@ class CFG:
     def _delay_block(self, cti_addr, editable):
         delay_addr = cti_addr + 4
         block = self._new_block(BK_DELAY, delay_addr)
-        block.instructions.append((delay_addr, self._instruction(delay_addr)))
+        block.instructions.append(
+            (delay_addr, self.executable.instruction_at(delay_addr)))
         block.editable = editable
         return block
 
@@ -559,14 +556,13 @@ class CFG:
         """
         from repro.core.analysis.indirect import record_indirect_outcome
 
+        table = self.executable.text_table()
         with _span("cfg.restore", routine=self.routine.name) as sp:
             for kind, start, addrs, editable, cti_addr in summary["blocks"]:
                 block = self._new_block(kind, start)
                 block.editable = bool(editable)
                 block.cti_addr = cti_addr
-                for addr in addrs:
-                    block.instructions.append((addr,
-                                               self._instruction(addr)))
+                block.instructions = [(addr, table[addr]) for addr in addrs]
                 if kind == BK_NORMAL:
                     self.block_at[start] = block
             self.entry = self.blocks[summary["entry"]]
@@ -676,6 +672,7 @@ class _Discovery:
         self.table_data = set(self.routine.executable.claimed_data(
             self.routine))
         self.invalid_hits = set()
+        self.table = self.routine.executable.text_table()
 
     def run(self):
         work = sorted(self.entries)
@@ -686,12 +683,13 @@ class _Discovery:
     def _walk(self, addr, work):
         cfg = self.cfg
         routine = self.routine
+        table = self.table
         while True:
             if addr in self.visited and addr not in self.delay_addrs:
                 return
             if not routine.contains(addr) or addr in self.table_data:
                 return
-            instruction = cfg._instruction(addr)
+            instruction = table[addr]
             if not instruction.is_valid:
                 # Reachable invalid word: data in text.
                 self.invalid_hits.add(addr)
@@ -709,7 +707,7 @@ class _Discovery:
             if instruction.is_delayed:
                 delay_addr = addr + 4
                 if routine.contains(delay_addr):
-                    delay_inst = cfg._instruction(delay_addr)
+                    delay_inst = table[delay_addr]
                     if delay_inst.is_control \
                             and delay_inst.category is not Category.SYSTEM:
                         # Delayed CTI in a delay slot: conservative stop.

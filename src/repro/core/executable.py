@@ -10,9 +10,12 @@ The paper's Figure 1 drives this API:
     exec.write_edited_executable(out_path, x)
 """
 
+import struct
+
 from repro.binfmt import layout as binlayout
 from repro.binfmt.image import Image
 from repro.binfmt.serialize import read_image, write_image
+from repro.core.instruction import instruction_for
 from repro.isa import get_codec, get_conventions
 from repro.obs.trace import span as _span
 
@@ -61,6 +64,34 @@ class RoutineList:
         return self._routines[index]
 
 
+class DecodedText(dict):
+    """``{addr: Instruction}`` for every word of an image's ``.text``.
+
+    The section is unpacked with one ``struct`` call and the flyweight
+    instruction of each distinct word is looked up once.  Subscripting
+    any other address decodes :meth:`Image.word_at` without caching it,
+    so an address not mapped to file bytes raises ``KeyError``.
+    """
+
+    __slots__ = ("image", "codec")
+
+    def __init__(self, image, codec):
+        super().__init__()
+        self.image = image
+        self.codec = codec
+        text = image.sections.get(".text")
+        if text is not None:
+            words = struct.unpack_from(">%dI" % (len(text.data) // 4),
+                                       text.data)
+            flyweights = {word: instruction_for(codec, word)
+                          for word in set(words)}
+            self.update(zip(range(text.vaddr, text.end, 4),
+                            map(flyweights.__getitem__, words)))
+
+    def __missing__(self, addr):
+        return instruction_for(self.codec, self.image.word_at(addr))
+
+
 class Executable:
     """An open executable: code, data, routines, and an edit session."""
 
@@ -89,6 +120,7 @@ class Executable:
         self.meta_reject_detail = None
         self._adopt = None  # start -> adoptable summary (fuzz shrinking)
         self._claimed = set()  # data addresses claimed inside text
+        self._text_table = None  # DecodedText, see text_table()
         self._edited_routines = {}  # name -> Routine (with .edited set)
         self._added_routines = []  # (name, base_addr, words)
         self._added_symbols = {}
@@ -184,6 +216,7 @@ class Executable:
         if routine is None:
             raise ExecutableError("unknown routine %r" % (routine_or_name,))
         self.fact_store().invalidate("routine", routine.start)
+        self._text_table = None  # the routine's bytes changed: re-decode
         routine.analysis_summary = None
         routine.delete_control_flow_graph()
         return routine
@@ -264,6 +297,23 @@ class Executable:
     # ------------------------------------------------------------------
     def word_at(self, addr):
         return self.image.word_at(addr)
+
+    def text_table(self):
+        """The decoded text table: every ``.text`` word decoded once,
+        indexed by address (see :class:`DecodedText`).
+
+        Hot loops subscript it directly; everything else asks
+        :meth:`instruction_at`.  :meth:`invalidate_routine`, the one
+        way to declare text bytes changed, drops the table.
+        """
+        if self._text_table is None:
+            self._text_table = DecodedText(self.image, self.codec)
+        return self._text_table
+
+    def instruction_at(self, addr):
+        """The flyweight instruction for the word at *addr*; raises
+        ``KeyError`` for an address not mapped to file bytes."""
+        return self.text_table()[addr]
 
     def is_text_address(self, addr):
         text = self.image.sections.get(".text")

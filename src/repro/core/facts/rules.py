@@ -23,7 +23,6 @@ byte-identical or intra-routine edit never escalates.
 
 import hashlib
 
-from repro.core.instruction import instruction_for
 from repro.isa.base import Category
 from repro.obs import metrics as _metrics
 from repro.obs.trace import span as _span
@@ -93,13 +92,12 @@ def _derive_callsites(executable, routine, store):
     routine's identity fact — the transitive-invalidation edge.
     """
     payload = ensure(executable, store, "cfg", routine)
-    codec = executable.codec
     sites = []
     for kind, start, addrs, _editable, _cti in payload["blocks"]:
         if kind != "normal" or not addrs:
             continue
         addr = addrs[-1]
-        inst = instruction_for(codec, executable.word_at(addr))
+        inst = executable.instruction_at(addr)
         if inst.category is Category.CALL:
             sites.append({"addr": addr, "kind": "call",
                           "target": inst.target(addr)})

@@ -111,16 +111,9 @@ class Routine:
 
     def instructions(self):
         """(addr, Instruction) pairs over the whole extent, linear order."""
-        from repro.core.instruction import instruction_for
-
-        codec = self.executable.codec
-        out = []
-        addr = self.start
-        while addr < self.end:
-            out.append((addr, instruction_for(codec,
-                                              self.executable.word_at(addr))))
-            addr += 4
-        return out
+        table = self.executable.text_table()
+        return [(addr, table[addr])
+                for addr in range(self.start, self.end, 4)]
 
     def __repr__(self):
         return "Routine(%s [0x%x,0x%x)%s)" % (

@@ -15,10 +15,10 @@ points.  Refinement proceeds in the paper's four stages:
    unreachable suffixes become hidden-routine candidates.
 """
 
+import bisect
 import re
 
 from repro.binfmt.image import BIND_GLOBAL, SYM_FUNC
-from repro.core.instruction import instruction_for
 from repro.isa.base import Category
 from repro.obs import metrics as _metrics
 from repro.obs.trace import span as _span
@@ -30,6 +30,9 @@ from repro.obs.trace import span as _span
 # silently demoting them to hidden routines.
 _TEMP_LABEL = re.compile(r"^(\.L|L\d)")
 
+# Control transfers whose static targets refinement follows.
+_DIRECT_CATEGORIES = (Category.CALL, Category.JUMP, Category.BRANCH)
+
 _C_ROUTINES = _metrics.counter("refine.routines")
 _C_HIDDEN = _metrics.counter("refine.hidden")
 _C_STRIPPED = _metrics.counter("refine.stripped_seeds")
@@ -37,17 +40,18 @@ _C_STRIPPED = _metrics.counter("refine.stripped_seeds")
 
 def refine_symbol_table(executable):
     """Run all refinement stages; returns (routines, hidden_routines)."""
+    transfers = _direct_transfers(executable)
     with _span("refine.stage1_symtab"):
         named = _stage1_initial_set(executable)
     if not named:
         with _span("refine.stage2_stripped"):
-            named = _stage2_stripped_seed(executable)
+            named = _stage2_stripped_seed(executable, transfers)
             _C_STRIPPED.inc(len(named))
     with _span("refine.stage3_interproc"):
         routines = _make_routines(executable, named)
-        hidden = _stage3_interprocedural(executable, routines)
+        hidden = _stage3_interprocedural(executable, routines, transfers)
     with _span("refine.stage4_cfg"):
-        _stage4_cfg_feedback(executable, routines, hidden)
+        _stage4_cfg_feedback(executable, routines, hidden, transfers)
     _C_ROUTINES.inc(len(routines))
     _C_HIDDEN.inc(len(hidden))
     return routines, hidden
@@ -83,7 +87,7 @@ def _stage1_initial_set(executable):
     return {addr: rank[2] for addr, rank in best.items()}
 
 
-def _stage2_stripped_seed(executable):
+def _stage2_stripped_seed(executable, transfers):
     """Stripped executable: entry point, first text address, call targets."""
     image = executable.image
     text = image.sections.get(".text")
@@ -93,11 +97,9 @@ def _stage2_stripped_seed(executable):
     named[text.vaddr] = "text_start"
     if text.contains(image.entry):
         named.setdefault(image.entry, "entry")
-    for addr, instruction in _scan_text(executable):
-        if instruction.category is Category.CALL:
-            target = instruction.target(addr)
-            if target is not None and text.contains(target):
-                named.setdefault(target, "hidden_0x%x" % target)
+    for _addr, category, target in transfers:
+        if category is Category.CALL and text.contains(target):
+            named.setdefault(target, "hidden_0x%x" % target)
     return named
 
 
@@ -113,17 +115,22 @@ def _make_routines(executable, named):
     return routines
 
 
-def _scan_text(executable):
-    text = executable.image.sections[".text"]
-    codec = executable.codec
-    addr = text.vaddr
-    for word in text.words():
-        yield addr, instruction_for(codec, word)
-        addr += 4
+def _direct_transfers(executable):
+    """``(addr, category, target)`` for every call, jump, and branch in
+    ``.text`` with a static target, in address order — read once from
+    the decoded text table and shared by stages 2-4."""
+    transfers = []
+    for addr, instruction in executable.text_table().items():
+        category = instruction.category
+        if category in _DIRECT_CATEGORIES:
+            target = instruction.target(addr)
+            if target is not None:
+                transfers.append((addr, category, target))
+    return transfers
 
 
 # ----------------------------------------------------------------------
-def _stage3_interprocedural(executable, routines):
+def _stage3_interprocedural(executable, routines, transfers):
     """Direct calls/jumps leaving a routine.
 
     A target inside another routine is resolved in stage 4: it becomes a
@@ -137,24 +144,18 @@ def _stage3_interprocedural(executable, routines):
     hidden = []
     for _ in range(8):  # until no new routine appears
         new_targets = set()
-        for addr, instruction in _scan_text(executable):
-            category = instruction.category
-            if category not in (Category.CALL, Category.JUMP,
-                                Category.BRANCH):
-                continue
-            target = instruction.target(addr)
-            if target is None:
-                continue
-            source = _containing(routines + hidden, addr)
+        containing = _locator(routines + hidden)
+        for addr, _category, target in transfers:
+            source = containing(addr)
             if source is None or source.contains(target):
                 continue
-            if _containing(routines + hidden, target) is None \
+            if containing(target) is None \
                     and executable.is_text_address(target):
                 new_targets.add(target)
         if not new_targets:
             break
         for target in sorted(new_targets):
-            if _containing(routines + hidden, target) is not None:
+            if containing(target) is not None:
                 continue
             hidden.append(
                 Routine(executable, "hidden_0x%x" % target, target,
@@ -162,6 +163,7 @@ def _stage3_interprocedural(executable, routines):
                                        target),
                         hidden=True)
             )
+            containing = _locator(routines + hidden)
         _fix_extents(routines, hidden, executable)
     return hidden
 
@@ -170,11 +172,19 @@ def _routine_map(routines):
     return {routine.start: routine for routine in routines}
 
 
-def _containing(routines, addr):
-    for routine in routines:
-        if routine.contains(addr):
-            return routine
-    return None
+def _locator(routines):
+    """``containing(addr)`` over non-overlapping *routines*: the
+    routine holding *addr*, or None, by bisecting sorted starts."""
+    ordered = sorted(routines, key=lambda r: r.start)
+    starts = [routine.start for routine in ordered]
+
+    def containing(addr):
+        index = bisect.bisect_right(starts, addr) - 1
+        if index >= 0 and ordered[index].contains(addr):
+            return ordered[index]
+        return None
+
+    return containing
 
 
 def _adjacent(a, b):
@@ -200,7 +210,7 @@ def _fix_extents(routines, hidden, executable):
 
 
 # ----------------------------------------------------------------------
-def _stage4_cfg_feedback(executable, routines, hidden):
+def _stage4_cfg_feedback(executable, routines, hidden, transfers):
     """Build CFGs; their analysis refines the routine set.
 
     Dispatch tables found by slicing are claimed as data; escaping
@@ -212,19 +222,16 @@ def _stage4_cfg_feedback(executable, routines, hidden):
     # Interprocedural targets landing inside other routines, from the
     # text scan: call targets and direct-jump targets.
     inbound = {}  # target addr -> True (call-like)
-    for addr, instruction in _scan_text(executable):
-        if instruction.category in (Category.CALL, Category.JUMP):
-            target = instruction.target(addr)
-            if target is not None:
-                inbound.setdefault(target, True)
+    for _addr, category, target in transfers:
+        if category is not Category.BRANCH:
+            inbound.setdefault(target, True)
 
     for _ in range(256):  # each split makes progress; generous cap
         changed = False
         everyone = sorted(routines + hidden, key=lambda r: r.start)
+        containing = _locator(everyone)
         for routine in everyone:
-            first = instruction_for(executable.codec,
-                                    executable.word_at(routine.start))
-            if not first.is_valid:
+            if not executable.instruction_at(routine.start).is_valid:
                 routine.is_data = True
                 continue
             cfg = routine.control_flow_graph()
@@ -235,7 +242,7 @@ def _stage4_cfg_feedback(executable, routines, hidden):
                     if edge.kind != "escape" or edge.escape_target is None:
                         continue
                     target = edge.escape_target
-                    container = _containing(everyone, target)
+                    container = containing(target)
                     if container is not None and container is not routine \
                             and target != container.start \
                             and target not in inbound:
@@ -248,9 +255,7 @@ def _stage4_cfg_feedback(executable, routines, hidden):
             # another (hidden) routine — the paper's stage 4 rule.
             suffix = _unreached_suffix(routine, cfg)
             if suffix is not None:
-                first_split = instruction_for(
-                    executable.codec, executable.word_at(suffix))
-                if first_split.is_valid:
+                if executable.instruction_at(suffix).is_valid:
                     hidden.append(Routine(executable,
                                           "hidden_0x%x" % suffix,
                                           suffix, routine.end, hidden=True))
@@ -287,9 +292,7 @@ def _split_or_enter(executable, routine, cfg, inbound, hidden):
         if target in covered:
             routine.add_entry(target)
             return True
-        instruction = instruction_for(executable.codec,
-                                      executable.word_at(target))
-        if not instruction.is_valid:
+        if not executable.instruction_at(target).is_valid:
             continue
         hidden.append(Routine(executable, "hidden_0x%x" % target,
                               target, routine.end, hidden=True))

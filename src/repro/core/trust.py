@@ -242,14 +242,12 @@ def _probe_addrs(table):
 
 
 def _check_probes(executable, claims):
-    codec = executable.codec
     for routine in claims.meta.routines:
         for entry in routine.entries:
             if entry in claims.data_words:
                 return ("probe", "%s entry 0x%x lies in claimed data"
                         % (routine.name, entry))
-            inst = instruction_for(codec, executable.image.word_at(entry))
-            if not inst.is_valid:
+            if not executable.instruction_at(entry).is_valid:
                 return ("probe", "%s entry 0x%x does not decode"
                         % (routine.name, entry))
     for table in claims.meta.tables:
@@ -259,8 +257,7 @@ def _check_probes(executable, claims):
                 return ("probe", "table 0x%x slot 0x%x holds 0x%x, not "
                         "an aligned text address" % (table.addr, slot,
                                                      target))
-            if not instruction_for(codec,
-                                   executable.image.word_at(target)).is_valid:
+            if not executable.instruction_at(target).is_valid:
                 return ("probe", "table 0x%x target 0x%x does not decode"
                         % (table.addr, target))
     return None

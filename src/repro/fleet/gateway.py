@@ -432,7 +432,7 @@ class FleetGateway:
                                  op=job.op, key=key)
                     # Report in a helper thread? No: report_failure is
                     # idempotent and bounded; inline keeps ordering.
-                    self.manager.report_failure(slot)
+                    self.manager.report_failure(slot, generation)
                     attempts += 1
                     if attempts > self.config.retries \
                             + self.config.shards:

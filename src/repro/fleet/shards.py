@@ -218,27 +218,36 @@ class ShardManager:
             for slot in self.slots:
                 if self._stop.is_set():
                     return
-                if slot.alive and not self._ping(slot):
-                    self.report_failure(slot, reason="health-ping")
+                with slot.lock:
+                    alive = slot.alive
+                    generation = slot.generation
+                    socket_path = slot.socket_path
+                if alive and not self._ping(socket_path):
+                    self.report_failure(slot, generation,
+                                        reason="health-ping")
 
-    def _ping(self, slot):
+    def _ping(self, socket_path):
         try:
-            with ServeClient(slot.socket_path, connect_timeout=1.0,
+            with ServeClient(socket_path, connect_timeout=1.0,
                              io_timeout=3.0, retries=0) as client:
                 return bool(client.ping().get("pong"))
         except (OSError, ServeError):
             return False
 
-    def report_failure(self, slot, reason="transport"):
+    def report_failure(self, slot, generation, reason="transport"):
         """A shard stopped answering: mark dead, respawn within budget.
 
         Called from the health loop and from forwarders that hit
-        transport errors; idempotent per incident (the first reporter
-        does the respawn, later ones see ``alive`` already False).
+        transport errors, with the *generation* they talked to;
+        idempotent per incident (the first reporter does the respawn,
+        later ones see ``alive`` already False).  A report against a
+        superseded generation — the old process draining after a hot
+        restart, or a ping that raced the swap — is ignored, so it can
+        never mark the fresh replacement dead.
         """
         with self._spawn_lock:
             with slot.lock:
-                if not slot.alive:
+                if not slot.alive or generation != slot.generation:
                     return
                 slot.alive = False
                 process = slot.process

@@ -86,6 +86,14 @@ class RegisterSet:
         return range(self.num_int)
 
 
+def register_mask(regs):
+    """Bit mask with bit *r* set for every register number *r* in *regs*."""
+    mask = 0
+    for reg in regs:
+        mask |= 1 << reg
+    return mask
+
+
 @dataclass(frozen=True)
 class DecodedInst:
     """Machine-independent description of one decoded machine word.
@@ -112,6 +120,10 @@ class DecodedInst:
         # Field dict for hot paths (simulator dispatch); fields stays a
         # tuple so the dataclass remains hashable.
         object.__setattr__(self, "f", dict(self.fields))
+        # Register sets as bit masks for bitset dataflow (liveness),
+        # computed once per interned word like the field dict.
+        object.__setattr__(self, "read_mask", register_mask(self.reads))
+        object.__setattr__(self, "write_mask", register_mask(self.writes))
 
     def get_field(self, name):
         return self.f[name]

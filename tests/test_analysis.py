@@ -1,12 +1,23 @@
 """CFG analyses: dominators, loops, liveness, slicing, indirect jumps."""
 
+import pytest
+
 from repro.asm import assemble
 from repro.binfmt import link
 from repro.core import Executable
 from repro.core.analysis.dominators import dominates, dominators
+from repro.core.analysis.liveness import LivenessAnalysis
 from repro.core.analysis.loops import natural_loops
+from repro.core.cfg import BK_SURROGATE
+from repro.fuzz.gen import GenConfig, generate
+from repro.isa import get_conventions
 from repro.minic import GCC_LIKE, SUNPRO_LIKE, compile_to_image
 from repro.workloads import build_image
+from repro.workloads.builder import (
+    build_mips_image,
+    mips_program_names,
+    program_names,
+)
 
 LOOPY = """
 int f(int n) {
@@ -93,6 +104,157 @@ def test_liveness_scavenging_inside_body():
     live = liveness.live_before(inner, 0)
     dead = [r for r in range(16, 24) if r not in live]
     assert dead, "some %l registers are scavengeable"
+
+
+# ----------------------------------------------------------------------
+# Liveness differential: the bitmask worklist solver against a plain
+# set-based round-robin reference, over every routine of the corpus and
+# of generated programs on both architectures.
+# ----------------------------------------------------------------------
+
+_WINDOW = frozenset(range(8, 32))  # SPARC %o, %l, %i
+
+
+def _reference_effects(cfg):
+    """(call-surrogate uses, call-surrogate defs, live at exit)."""
+    arch = cfg.codec.arch
+    regs = cfg.codec.regs
+    conventions = get_conventions(arch)
+    uses = set(conventions.arg_regs) | {conventions.sp_reg}
+    exit_live = {conventions.sp_reg, conventions.retaddr_reg}
+    if arch == "sparc":
+        defs = set(range(1, 16)) | {regs.number("%icc"), regs.number("%y")}
+        exit_live |= {8, 24, 30, 31}
+    else:
+        defs = set(range(1, 16)) | {24, 25, 31, regs.number("$hi"),
+                                    regs.number("$lo")}
+        exit_live |= {2, 16, 17, 18, 19, 20, 21, 22, 23, 29, 30, 31}
+    return uses, defs, {r for r in exit_live if r < regs.num_total}
+
+
+def _reference_liveness(cfg):
+    """Round-robin set dataflow to a global fixpoint, plus the SPARC
+    pre-window flags as a round-robin forward fixpoint."""
+    call_uses, call_defs, exit_live = _reference_effects(cfg)
+    effects = {}
+    for block in cfg.blocks:
+        if block.kind == BK_SURROGATE:
+            effects[block.id] = (call_uses, call_defs)
+            continue
+        uses, defs = set(), set()
+        for _, inst in block.instructions:
+            uses |= inst.reads() - defs
+            defs |= inst.writes()
+        effects[block.id] = (uses, defs)
+    live_in = {block.id: set() for block in cfg.blocks}
+    live_out = {block.id: set() for block in cfg.blocks}
+    live_in[cfg.exit.id] = exit_live
+    changed = True
+    while changed:
+        changed = False
+        for block in cfg.blocks:
+            if block is cfg.exit:
+                continue
+            out = set()
+            for edge in block.succ:
+                out |= live_in[edge.dst.id]
+            uses, defs = effects[block.id]
+            new_in = uses | (out - defs)
+            if out != live_out[block.id] or new_in != live_in[block.id]:
+                live_out[block.id] = out
+                live_in[block.id] = new_in
+                changed = True
+    has_save = {block.id: any(inst.name == "save"
+                              for _, inst in block.instructions)
+                for block in cfg.blocks}
+    pre = {block.id: False for block in cfg.blocks}
+    if cfg.codec.arch == "sparc":
+        pre[cfg.entry.id] = True
+        changed = True
+        while changed:
+            changed = False
+            for block in cfg.blocks:
+                if not pre[block.id] and any(
+                        pre[edge.src.id] and not has_save[edge.src.id]
+                        for edge in block.pred):
+                    pre[block.id] = True
+                    changed = True
+    return live_in, live_out, pre, has_save
+
+
+def _check_against_reference(cfg, liveness):
+    live_in, live_out, pre, has_save = _reference_liveness(cfg)
+    where = cfg.routine.name
+    for block in cfg.blocks:
+        assert liveness.live_in[block.id] == live_in[block.id], \
+            (where, block, "live_in")
+        assert liveness.live_out[block.id] == live_out[block.id], \
+            (where, block, "live_out")
+    pre_window = liveness.to_summary().get("pre_window")
+    if cfg.codec.arch == "sparc":
+        assert pre_window == [int(pre[block.id]) for block in cfg.blocks], \
+            where
+    else:
+        assert pre_window is None, where
+
+    def before(block, index):
+        live = set(live_out[block.id])
+        for _, inst in reversed(block.instructions[index:]):
+            live = (live - inst.writes()) | inst.reads()
+        if pre[block.id] and not any(
+                inst.name == "save" for _, inst in block.instructions[:index]):
+            live |= _WINDOW
+        return live
+
+    for block in cfg.blocks:
+        count = len(block.instructions)
+        for index in range(count + 1):
+            assert liveness.live_before(block, index) == before(block, index), \
+                (where, block, index, "before")
+        for index in range(count):
+            expected = before(block, index + 1)
+            if index + 1 == count:
+                expected = set(live_out[block.id])
+                if pre[block.id] and not has_save[block.id]:
+                    expected |= _WINDOW
+            assert liveness.live_after(block, index) == expected, \
+                (where, block, index, "after")
+        for edge in block.succ:
+            expected = set(live_in[edge.dst.id])
+            if pre[edge.dst.id] or (pre[block.id] and not has_save[block.id]):
+                expected |= _WINDOW
+            assert liveness.live_on_edge(edge) == expected, (where, edge)
+
+
+_GENERATED = ["gen-%s-%d" % (arch, seed)
+              for arch in ("sparc", "mips") for seed in range(12)]
+
+
+def _liveness_image(name):
+    if name.startswith("gen-"):
+        _, arch, seed = name.split("-")
+        return generate(int(seed), GenConfig(arch=arch)).image
+    if name in mips_program_names():
+        return build_mips_image(name)
+    return build_image(name)
+
+
+@pytest.mark.parametrize(
+    "name", program_names() + mips_program_names() + _GENERATED)
+def test_liveness_matches_set_reference(name):
+    """Every routine: live_in/live_out, pre-window flags, live_before
+    and live_after at every instruction, and live_on_edge on every edge
+    equal the set-based reference — for a fresh solve and for an
+    analysis restored from its own summary."""
+    executable = Executable(_liveness_image(name)).read_contents()
+    routines = executable.all_routines()
+    assert routines
+    for routine in routines:
+        cfg = routine.control_flow_graph()
+        solved = LivenessAnalysis(cfg)
+        _check_against_reference(cfg, solved)
+        restored = LivenessAnalysis.from_summary(cfg, solved.to_summary())
+        _check_against_reference(cfg, restored)
 
 
 def test_backward_slice_finds_address_computation():

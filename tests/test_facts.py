@@ -8,6 +8,7 @@ import os
 import pytest
 
 from repro import obs
+from repro.binfmt.serialize import image_from_bytes, image_to_bytes
 from repro.core import Executable
 from repro.core.executable import ExecutableError
 from repro.core.facts import FactStore
@@ -223,6 +224,57 @@ def test_signature_change_escalates_to_full_refinement():
     for routine in executable.all_routines():
         assert store.get("cfg", routine.start) is not None
         assert routine.analysis_summary is not None
+
+
+# ----------------------------------------------------------------------
+# The decoded text table: a snapshot of .text until invalidate_routine
+# ----------------------------------------------------------------------
+
+def _private_image(name):
+    """A copy of workload *name* that a test may overwrite (build_image
+    shares one cached Image per workload)."""
+    return image_from_bytes(image_to_bytes(build_image(name)))
+
+
+def test_invalidate_routine_redecodes_overwritten_text_word():
+    with _env(REPRO_CACHE="off"):
+        executable = Executable(_private_image("fib")).read_contents()
+        fact_rules.populate(executable, executable.fact_store())
+        fib = _routine(executable, "fib")
+        addr, old = next(
+            (addr, inst)
+            for block in fib.control_flow_graph().normal_blocks()
+            for addr, inst in block.instructions
+            if not inst.is_control and inst.name != "save")
+        nop = executable.codec.nop_word
+        assert old.word != nop
+        executable.image.sections[".text"].set_word(addr, nop)
+        # Until the change is declared, analysis reads the decoded table.
+        assert executable.instruction_at(addr) is old
+
+        metrics.reset()
+        executable.invalidate_routine("fib")
+        executable.reanalyze()
+        assert _counter("cfg.builds") == 1
+        assert executable.instruction_at(addr).word == nop
+        assert executable.text_table()[addr].word == nop
+        rebuilt = fib.control_flow_graph()
+        words = {a: inst.word for block in rebuilt.blocks
+                 for a, inst in block.instructions}
+        assert words[addr] == nop
+
+
+def test_instruction_at_outside_text_falls_back_to_image_words():
+    executable = Executable(build_image("interp")).read_contents()
+    image = executable.image
+    rodata = image.sections[".rodata"]
+    assert rodata.vaddr not in executable.text_table()
+    assert executable.instruction_at(rodata.vaddr).word \
+        == image.word_at(rodata.vaddr)
+    with pytest.raises(KeyError):
+        executable.instruction_at(image.sections[".bss"].vaddr)
+    with pytest.raises(KeyError):
+        executable.instruction_at(image.address_limit() + 0x100)
 
 
 # ----------------------------------------------------------------------

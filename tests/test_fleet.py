@@ -268,6 +268,34 @@ def test_hot_restart_zero_failed_requests(make_fleet):
     assert metrics.counter("fleet.hot_restarts").value >= 2
 
 
+def test_failure_report_for_superseded_generation_is_ignored(make_fleet):
+    """A transport error seen on the draining old process, or a health
+    ping that raced the swap, names the old generation: it must not
+    mark the fresh replacement dead or respawn it."""
+    from repro.obs import metrics
+
+    gateway = make_fleet()
+    manager = gateway.manager
+    slot = manager.slots[0]
+    old_generation = slot.generation
+    manager.hot_restart(slot)
+    generation = slot.generation
+    assert generation == old_generation + 1
+    assert slot.alive
+    respawns = metrics.counter("fleet.respawns").value
+    deaths = metrics.counter("fleet.shard_deaths").value
+
+    manager.report_failure(slot, old_generation)
+    manager.report_failure(slot, old_generation, reason="health-ping")
+
+    assert slot.generation == generation
+    assert slot.alive
+    assert metrics.counter("fleet.respawns").value == respawns
+    assert metrics.counter("fleet.shard_deaths").value == deaths
+    with _client(gateway) as client:
+        assert client.ping()["pong"] is True
+
+
 def test_gateway_rejects_while_draining(make_fleet):
     gateway = make_fleet()
     with _client(gateway, retries=0) as client:
