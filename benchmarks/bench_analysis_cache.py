@@ -20,10 +20,10 @@ WORKLOAD = "interp"
 TARGET_SPEEDUP = 2.0
 
 
-def _analyze(image, jobs=1):
+def _analyze(image):
     """The full front half of the edit pipeline: refined routines with
     CFGs and liveness ready for instrumentation."""
-    exe = Executable(image).read_contents(jobs=jobs)
+    exe = Executable(image).read_contents()
     for routine in exe.all_routines():
         routine.control_flow_graph().live_registers()
     return exe

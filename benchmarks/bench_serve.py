@@ -53,7 +53,6 @@ def _cold_cli_seconds(image_path, tmp_path):
 def test_warm_daemon_beats_cold_cli(tmp_path, monkeypatch):
     from repro import cli
     from repro.cache import disable_memory_layer
-    from repro.cache.parallel import suppress_pools
 
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "daemon-cache"))
     image_path = str(tmp_path / ("%s.eelf" % WORKLOAD))
@@ -75,7 +74,6 @@ def test_warm_daemon_beats_cold_cli(tmp_path, monkeypatch):
         server.request_drain()
         assert server.wait_drained(15.0)
         disable_memory_layer()
-        suppress_pools(False)
 
     cold_median = _median(cold)
     warm_median = _median(warm)

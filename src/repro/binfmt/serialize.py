@@ -35,7 +35,10 @@ ANALYSIS_MAGIC = b"EELA"
 # 5: summaries record analysis provenance ("discovery" vs "metadata" —
 #    the verified .eel.meta trust path of repro.core.trust), so warm
 #    restores report where the routine set originally came from.
-ANALYSIS_VERSION = 5
+# 6: a blob is the fact table alone plus how it was produced (provenance
+#    and the metadata status): routine and hidden lists rebuild from the
+#    routine facts, claimed data from the dispatch facts.
+ANALYSIS_VERSION = 6
 
 
 class FormatError(Exception):

@@ -14,8 +14,7 @@ Environment knobs:
 * ``REPRO_CACHE_MAX`` caps the entry count (default 512, oldest pruned).
 
 Counters (``cache.*``) surface in the ``repro.obs`` report: hits,
-misses, stores, invalidations, evictions, restored CFGs, and parallel
-fallbacks.
+misses, stores, invalidations, evictions, and restored CFGs.
 """
 
 from repro.cache.store import (
@@ -30,15 +29,9 @@ from repro.cache.store import (
     store,
     store_verdict,
 )
-from repro.cache.summary import (
-    analyze_routines,
-    executable_to_summary,
-    restore_executable,
-    summarize_routine,
-)
+from repro.cache.summary import executable_to_summary, restore_executable
 
 __all__ = [
-    "analyze_routines",
     "cache_dir",
     "disable_memory_layer",
     "enable_memory_layer",
@@ -53,7 +46,6 @@ __all__ = [
     "store",
     "store_analysis",
     "store_verdict",
-    "summarize_routine",
 ]
 
 
@@ -71,10 +63,10 @@ def load_analysis(executable):
     return restore_executable(executable, summary)
 
 
-def store_analysis(executable, jobs=1):
-    """Analyze all routines (optionally in parallel) and persist the
-    summary.  No-op when the cache is disabled."""
+def store_analysis(executable):
+    """Derive every fact of every routine and persist the fact table.
+    No-op when the cache is disabled."""
     if not enabled():
         return
-    summary = executable_to_summary(executable, jobs=jobs)
+    summary = executable_to_summary(executable)
     store(image_cache_key(executable.image), summary)

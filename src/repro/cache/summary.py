@@ -1,13 +1,13 @@
 """Build and restore whole-executable analysis summaries.
 
-A summary captures what EEL computes once per executable (paper
-section 3): the refined routine set and, per routine, the CFG shape
-(with delay-slot hoists and indirect-jump resolutions baked in) and the
-liveness solution.  Since ANALYSIS_VERSION 4 the blob's routine entries
-are identities only; every derived analysis lives in a ``facts`` table
-(see :mod:`repro.core.facts`) that restores straight into the
-executable's incremental fact store, so a warm image can invalidate and
-re-derive single routines without a cold re-analysis.
+A summary is the executable's fact table (see :mod:`repro.core.facts`)
+— what EEL computes once per executable (paper section 3): the refined
+routine identities and, per routine, the CFG shape (with delay-slot
+hoists and indirect-jump resolutions baked in), the liveness solution
+and the facts derived from them — plus a record of how the facts were
+produced.  A warm restore hydrates the executable's fact store straight
+from it, so the image can invalidate and re-derive single routines
+without a cold re-analysis.
 """
 
 from repro.obs import metrics as _metrics
@@ -16,127 +16,119 @@ from repro.obs.trace import span as _span
 _C_HYDRATED = _metrics.counter("facts.hydrated")
 _C_HYDRATE_REJECTS = _metrics.counter("facts.hydrate_rejects")
 
-
-def summarize_routine(routine):
-    """Per-routine analysis summary: identity + CFG + liveness."""
-    from repro.core.symtab_refine import routine_identity
-
-    cfg = routine.control_flow_graph()
-    liveness = cfg.live_registers()
-    summary = routine_identity(routine)
-    summary["cfg"] = cfg.to_summary()
-    summary["liveness"] = liveness.to_summary()
-    return summary
-
-
-def analyze_routines(executable, routines, jobs=1):
-    """Analysis summaries for *routines*, optionally fanned out.
-
-    Routines are independent after symbol-table refinement, so on a
-    cold cache the CFG/liveness work can run under
-    ``concurrent.futures``; any pool failure falls back to the serial
-    path, and ``jobs=1`` never touches a pool at all.
-    """
-    if jobs > 1 and len(routines) > 1:
-        from repro.cache.parallel import parallel_summaries
-
-        summaries = parallel_summaries(executable, routines, jobs)
-        if summaries is not None:
-            return summaries
-    return [summarize_routine(routine) for routine in routines]
+# What restore and the views restored from it read of each fact kind:
+# the keys of a dict payload and the type of each (as JSON decodes
+# them), or None for a list payload.
+_SHAPES = {
+    "routine": {"name": str, "start": int, "end": int, "entries": list,
+                "hidden": int},
+    "cfg": {"blocks": list, "edges": list, "entry": int, "exit": int,
+            "indirect": list, "data_addrs": list, "unreached": list,
+            "incomplete": int, "cti_in_slot": int},
+    "liveness": {"live_in": list, "live_out": list},
+    "cti": {"cti_in_slot": int, "incomplete": int},
+    "dispatch": None,
+    "islands": None,
+    "callsites": None,
+}
 
 
-def _populate_store(executable, routines, summaries):
-    """Assert routine/cfg/liveness facts from computed *summaries*, then
-    derive the downstream kinds from the CFG payloads (no CFG builds)."""
+def executable_to_summary(executable):
+    """Summarize *executable*'s analyzed state: every fact kind derived
+    for every routine, and how the routine set was found."""
     from repro.core.facts import rules as _fact_rules
 
     store = executable.fact_store()
-    for routine, summary in zip(routines, summaries):
-        identity = {key: summary[key]
-                    for key in ("name", "start", "end", "entries", "hidden")}
-        store.put("routine", routine.start, identity)
-        store.put("cfg", routine.start, summary["cfg"],
-                  (("routine", routine.start),))
-        store.put("liveness", routine.start, summary["liveness"],
-                  (("cfg", routine.start),))
-    for kind in ("cti", "dispatch", "islands", "callsites"):
-        for routine in routines:
-            _fact_rules.ensure(executable, store, kind, routine)
-    return store
-
-
-def executable_to_summary(executable, jobs=1):
-    """Summarize *executable*'s refined, analyzed state.
-
-    Must run after ``read_contents``; building the per-routine CFGs
-    claims dispatch-table data, so the claimed set is recorded last.
-    """
-    from repro.core.symtab_refine import routine_identity
-
-    routines = list(executable._routines)
-    hidden = list(executable._hidden)
-    with _span("cache.analyze", jobs=jobs,
-               routines=len(routines) + len(hidden)):
-        summaries = analyze_routines(executable, routines + hidden,
-                                     jobs=jobs)
-    _attach(routines + hidden, summaries)
-    store = _populate_store(executable, routines + hidden, summaries)
+    _fact_rules.populate(executable, store)
     return {
-        "arch": executable.arch,
-        "provenance": getattr(executable, "analysis_provenance",
-                              "discovery"),
-        "routines": [routine_identity(routine) for routine in routines],
-        "hidden": [routine_identity(routine) for routine in hidden],
-        "claimed": sorted(executable._claimed),
+        "provenance": executable.analysis_provenance,
+        "meta_status": list(executable.meta_status),
         "facts": store.to_summary(),
     }
+
+
+def _hydrate(summary):
+    """The fact store *summary* holds and its facts by kind, or None
+    unless it has the shape its readers expect: every routine has every
+    fact kind, each in its shape, with one ``live_in``/``live_out``
+    entry per CFG block."""
+    from repro.core.facts import FactStore
+
+    if type(summary) is not dict \
+            or type(summary.get("provenance")) is not str:
+        return None
+    status = summary.get("meta_status")
+    if type(status) is not list or len(status) != 2 \
+            or type(status[0]) is not str:
+        return None
+    store = FactStore.from_summary(summary.get("facts"))
+    if store is None:
+        return None
+    facts = {kind: {} for kind in _SHAPES}
+    for kind, key, payload in summary["facts"]["facts"]:
+        if kind not in facts:
+            return None
+        facts[kind][key] = payload
+    starts = facts["routine"].keys()
+    if not starts:
+        return None
+    for kind, shape in _SHAPES.items():
+        payloads = facts[kind]
+        if payloads.keys() != starts:
+            return None
+        if shape is None:
+            if any(type(payload) is not list
+                   for payload in payloads.values()):
+                return None
+            continue
+        keys, types = tuple(shape), tuple(shape.values())
+        for payload in payloads.values():
+            if type(payload) is not dict \
+                    or tuple(map(type, map(payload.get, keys))) != types:
+                return None
+    for start, identity in facts["routine"].items():
+        blocks = len(facts["cfg"][start]["blocks"])
+        liveness = facts["liveness"][start]
+        if identity["start"] != start \
+                or len(liveness["live_in"]) != blocks \
+                or len(liveness["live_out"]) != blocks:
+            return None
+        for table in facts["dispatch"][start]:
+            if type(table) is not list or len(table) != 2 \
+                    or type(table[0]) is not int \
+                    or type(table[1]) is not int:
+                return None
+    return store, facts
 
 
 def restore_executable(executable, summary):
     """Recreate the refined routine sets and fact store from *summary*.
 
-    Returns (routines, hidden) lists of Routine objects with analysis
-    views attached (CFGs and liveness restore lazily on first use) and
-    leaves the hydrated :class:`FactStore` on ``executable.facts``.
-    Returns None — a clean miss, never a partial hydrate — when the
-    summary does not describe this executable, its fact table is
-    malformed, or any routine lacks its core facts
-    (``facts.hydrate_rejects`` counts the last two).
+    Returns (routines, hidden) lists of Routine objects — the ``routine``
+    facts sorted by start, split on the hidden flag; CFGs and liveness
+    restore from the store on first use — and leaves the hydrated
+    :class:`FactStore` on ``executable.facts``, the dispatch tables its
+    ``dispatch`` facts name claimed as data.  Returns None — a clean
+    miss, never a partial hydrate — when the summary is not shaped as
+    :func:`executable_to_summary` writes it (``facts.hydrate_rejects``).
     """
-    from repro.core.facts import FactStore
-    from repro.core.facts import rules as _fact_rules
     from repro.core.symtab_refine import routine_from_identity
 
-    if summary.get("arch") != executable.arch:
-        return None
-    store = FactStore.from_summary(summary.get("facts"))
-    if store is None:
+    hydrated = _hydrate(summary)
+    if hydrated is None:
         _C_HYDRATE_REJECTS.inc()
         return None
-    with _span("cache.restore",
-               routines=len(summary["routines"]),
-               hidden=len(summary["hidden"])):
-        routines = [routine_from_identity(executable, entry)
-                    for entry in summary["routines"]]
-        hidden = [routine_from_identity(executable, entry)
-                  for entry in summary["hidden"]]
-        for routine in routines + hidden:
-            if _fact_rules.attach_view(store, routine) is None:
-                _C_HYDRATE_REJECTS.inc()
-                return None
-        executable._claimed = set(summary["claimed"])
+    store, facts = hydrated
+    identities = sorted(facts["routine"].items())
+    with _span("cache.restore", routines=len(identities)):
+        everyone = [routine_from_identity(executable, identity)
+                    for _start, identity in identities]
+        for tables in facts["dispatch"].values():
+            for addr, size in tables:
+                executable.claim_data(addr, size)
         executable.facts = store
-        executable.analysis_provenance = summary.get("provenance",
-                                                     "discovery")
+        executable.analysis_provenance = summary["provenance"]
+        executable.meta_status = tuple(summary["meta_status"])
     _C_HYDRATED.inc(len(store))
-    return routines, hidden
-
-
-def _attach(routines, summaries):
-    """Attach freshly built summaries so in-session CFG rebuilds (after
-    ``delete_control_flow_graph``) can restore instead of re-analyzing."""
-    for routine, summary in zip(routines, summaries):
-        routine.analysis_summary = summary
-        if routine._cfg is not None and routine._cfg._liveness is None:
-            routine._cfg._live_summary = summary.get("liveness")
+    return ([routine for routine in everyone if not routine.hidden],
+            [routine for routine in everyone if routine.hidden])

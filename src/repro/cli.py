@@ -2,7 +2,7 @@
 
     python -m repro.cli build  <workload> <out.eelf> [--sunpro] [--emit-meta]
     python -m repro.cli run    <exe.eelf> [--stdin TEXT] [--max-steps N]
-    python -m repro.cli disasm <exe.eelf> [--jobs N]
+    python -m repro.cli disasm <exe.eelf>
     python -m repro.cli routines <exe.eelf>
     python -m repro.cli facts  <exe.eelf> [--invalidate NAME]
     python -m repro.cli meta   <exe.eelf> [--emit OUT.eelf]
@@ -51,12 +51,6 @@ def _add_obs_flags(subparser):
                            help="print a span-tree/counter summary to stderr")
     subparser.add_argument("--stats-json", metavar="PATH", default=None,
                            help="write the repro.obs JSON report to PATH")
-
-
-def _add_jobs_flag(subparser):
-    subparser.add_argument("--jobs", type=int, default=1, metavar="N",
-                           help="fan cold-cache routine analysis across N "
-                                "worker processes (default: 1, serial)")
 
 
 def _add_trust_flag(subparser):
@@ -169,7 +163,7 @@ def _cmd_disasm(args):
     image = read_image(args.executable)
     annotations = {}
     try:
-        exe = Executable(image).read_contents(jobs=args.jobs)
+        exe = Executable(image).read_contents()
         for routine in exe.all_routines():
             annotations[routine.start] = "; routine %s%s" % (
                 routine.name, " (hidden)" if routine.hidden else "")
@@ -186,8 +180,7 @@ def _cmd_disasm(args):
 
 
 def _cmd_routines(args):
-    exe = Executable(read_image(args.executable)) \
-        .read_contents(jobs=args.jobs)
+    exe = Executable(read_image(args.executable)).read_contents()
     for routine in sorted(exe.all_routines(), key=lambda r: r.start):
         cfg = routine.control_flow_graph()
         flags = []
@@ -213,8 +206,7 @@ def _cmd_facts(args):
     from repro.core.executable import ExecutableError
     from repro.obs import metrics as _metrics
 
-    exe = Executable(read_image(args.executable)) \
-        .read_contents(jobs=args.jobs)
+    exe = Executable(read_image(args.executable)).read_contents()
     store = exe.fact_store()
     fact_rules.populate(exe, store)
     print("fact store: %d facts over %d routines"
@@ -256,8 +248,7 @@ def _cmd_meta(args):
     if args.emit:
         from repro.binfmt.meta import attach_meta
 
-        executable = Executable(image).read_contents(jobs=args.jobs,
-                                                     trust_meta=False)
+        executable = Executable(image).read_contents(trust_meta=False)
         attach_meta(image, trust.meta_from_executable(executable))
         write_image(image, args.emit)
         print("wrote", args.emit)
@@ -305,7 +296,7 @@ def _cmd_profile(args):
     from repro.tools.qpt import QptProfiler
 
     image = read_image(args.executable)
-    tool = QptProfiler(image, mode=args.mode, jobs=args.jobs).run()
+    tool = QptProfiler(image, mode=args.mode).run()
     edited = tool.edited_image()
     write_image(edited, args.output)
     simulator = run_image(edited, stdin_text=args.stdin or "")
@@ -323,8 +314,7 @@ def _cmd_cachesim(args):
     from repro.tools.active_memory import ActiveMemory
 
     image = read_image(args.executable)
-    tool = ActiveMemory(image, cache_size=args.cache_size,
-                        jobs=args.jobs).instrument()
+    tool = ActiveMemory(image, cache_size=args.cache_size).instrument()
     simulator, cache = tool.run(stdin_text=args.stdin or "")
     _emit_program_output(simulator)
     print("%d misses / %d handled accesses (cache %dB, %d sites)"
@@ -348,8 +338,7 @@ def _cmd_stats(args):
     obs.enable()
     try:
         with obs.span("stats", executable=str(args.executable)):
-            exe = Executable(read_image(args.executable)) \
-                .read_contents(jobs=args.jobs)
+            exe = Executable(read_image(args.executable)).read_contents()
             with obs.span("stats.cfg_walk") as sp:
                 routines = sorted(exe.all_routines(), key=lambda r: r.start)
                 for routine in routines:
@@ -404,8 +393,8 @@ def _cmd_verify(args):
             with ProcessPoolExecutor(max_workers=args.jobs) as pool:
                 results = list(pool.map(_verify_worker, payloads))
         except Exception:
-            # Same contract as the analysis cache: --jobs is always
-            # safe, pools that die fall back to the serial path.
+            # --jobs is always safe: pools that die fall back to the
+            # serial path.
             from repro.obs import metrics as _metrics
 
             _metrics.counter("verify.parallel_fallbacks").inc()
@@ -761,14 +750,12 @@ def main(argv=None):
 
     disasm = sub.add_parser("disasm", help="disassemble text sections")
     disasm.add_argument("executable")
-    _add_jobs_flag(disasm)
     _add_trust_flag(disasm)
     disasm.set_defaults(func=_cmd_disasm)
 
     routines = sub.add_parser("routines",
                               help="list routines found by refinement")
     routines.add_argument("executable")
-    _add_jobs_flag(routines)
     _add_trust_flag(routines)
     routines.set_defaults(func=_cmd_routines)
 
@@ -779,7 +766,6 @@ def main(argv=None):
     facts.add_argument("--invalidate", default=None, metavar="NAME",
                        help="dirty NAME's facts, then run the "
                             "incremental solver and report the work")
-    _add_jobs_flag(facts)
     _add_trust_flag(facts)
     facts.set_defaults(func=_cmd_facts)
 
@@ -790,7 +776,6 @@ def main(argv=None):
     meta.add_argument("--emit", default=None, metavar="OUT",
                       help="analyze the input and write a copy carrying "
                            "a freshly derived .eel.meta section to OUT")
-    _add_jobs_flag(meta)
     meta.set_defaults(func=_cmd_meta)
 
     profile = sub.add_parser("profile", help="instrument with qpt2")
@@ -799,7 +784,6 @@ def main(argv=None):
     profile.add_argument("--mode", choices=("block", "edge"),
                          default="edge")
     profile.add_argument("--stdin", default="")
-    _add_jobs_flag(profile)
     _add_obs_flags(profile)
     _add_trust_flag(profile)
     profile.set_defaults(func=_cmd_profile)
@@ -809,7 +793,6 @@ def main(argv=None):
     cachesim.add_argument("executable")
     cachesim.add_argument("--cache-size", type=int, default=8192)
     cachesim.add_argument("--stdin", default="")
-    _add_jobs_flag(cachesim)
     _add_obs_flags(cachesim)
     _add_trust_flag(cachesim)
     cachesim.set_defaults(func=_cmd_cachesim)
@@ -820,7 +803,6 @@ def main(argv=None):
     stats.add_argument("--stdin", default="")
     stats.add_argument("--no-run", action="store_true",
                        help="skip the simulation pass")
-    _add_jobs_flag(stats)
     _add_obs_flags(stats)
     _add_trust_flag(stats)
     stats.set_defaults(func=_cmd_stats, obs_managed=True)

@@ -211,7 +211,6 @@ class CFG:
         self._edge_count = 0
         self._edge_order = []  # edges in creation order (see to_summary)
         self._liveness = None  # memoized LivenessAnalysis
-        self._live_summary = None  # cached liveness summary to restore from
         if summary is None:
             self._build()
         else:
@@ -635,14 +634,15 @@ class CFG:
         return natural_loops(self)
 
     def live_registers(self):
-        from repro.core.analysis.liveness import LivenessAnalysis
-
+        """The routine's liveness, solved on first use — or restored
+        from a clean ``liveness`` fact for the routine's identity."""
         if self._liveness is None:
-            if self._live_summary is not None:
-                self._liveness = LivenessAnalysis.from_summary(
-                    self, self._live_summary)
-            else:
-                self._liveness = LivenessAnalysis(self)
+            from repro.core.analysis.liveness import LivenessAnalysis
+            from repro.core.facts.rules import restorable
+
+            summary = restorable(self.executable, "liveness", self.routine)
+            self._liveness = LivenessAnalysis(self) if summary is None \
+                else LivenessAnalysis.from_summary(self, summary)
         return self._liveness
 
     def backward_slice(self, block, index, reg):

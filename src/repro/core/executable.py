@@ -17,7 +17,10 @@ from repro.binfmt.image import Image
 from repro.binfmt.serialize import read_image, write_image
 from repro.core.instruction import instruction_for
 from repro.isa import get_codec, get_conventions
+from repro.obs import metrics as _metrics
 from repro.obs.trace import span as _span
+
+_C_ADOPTED = _metrics.counter("facts.adopted")
 
 # Fresh address space for tool data (counter arrays, state tables).
 TOOL_DATA_BASE = 0x0100_0000
@@ -110,15 +113,16 @@ class Executable:
         self._routines = RoutineList()
         self._hidden = RoutineList()
         self._read = False
-        self.facts = None  # FactStore, set by read_contents
+        # The FactStore, set by read_contents: the one holder of the
+        # routine set's analysis state.
+        self.facts = None
         # Where the routine set came from: "discovery" (full refinement)
         # or "metadata" (verified .eel.meta hydration); cache blobs
-        # round-trip it.  meta_status is (state, reason) with state in
-        # absent/disabled/rejected/trusted.
+        # round-trip it with meta_status, a (state, reason) pair with
+        # state in absent/disabled/rejected/trusted.
         self.analysis_provenance = "discovery"
         self.meta_status = ("absent", None)
         self.meta_reject_detail = None
-        self._adopt = None  # start -> adoptable summary (fuzz shrinking)
         self._claimed = set()  # data addresses claimed inside text
         self._text_table = None  # DecodedText, see text_table()
         self._edited_routines = {}  # name -> Routine (with .edited set)
@@ -140,13 +144,14 @@ class Executable:
     # ------------------------------------------------------------------
     # Reading and analysis
     # ------------------------------------------------------------------
-    def read_contents(self, jobs=1, adopt=None, trust_meta=None):
+    def read_contents(self, adopt=None, trust_meta=None):
         """Analyze the symbol table and program to find all routines.
 
-        With a warm analysis cache (see :mod:`repro.cache`) the refined
-        routine set, per-routine analyses, and the fact table restore
-        from disk instead of being recomputed.  On a cold cache, *jobs*
-        > 1 fans the per-routine analysis out across worker processes.
+        Every path leaves the analysis state in the executable's
+        :class:`~repro.core.facts.FactStore` (:meth:`fact_store`).
+        With a warm analysis cache (see :mod:`repro.cache`) the store
+        restores from disk, and the routine set with it, instead of
+        being recomputed.
 
         When the image carries a verified ``.eel.meta`` section (see
         :mod:`repro.core.trust`) the routine set hydrates straight from
@@ -155,15 +160,15 @@ class Executable:
         *trust_meta* overrides the ``$REPRO_TRUST_META`` default
         (None = use the environment, default on).
 
-        *adopt* maps routine start addresses to surviving analysis
-        summaries from a closely related executable (the fuzz
-        shrinker's parent plan): routines whose extent, entries, and
-        text bytes match restore their CFGs from the adopted summary
-        instead of rebuilding — even during refinement's stage 4.
+        *adopt* seeds the store from a closely related executable (the
+        fuzz shrinker's parent plan): the fact table and text hashes
+        :func:`~repro.core.facts.rules.donor` returns.  Routines whose
+        identity and text bytes match restore their CFGs from the
+        donor's facts instead of rebuilding — even during refinement's
+        stage 4 — and count in ``facts.adopted``.
         """
         from repro import cache
         from repro.core import trust
-        from repro.core.facts import FactStore
         from repro.core.facts import rules as _fact_rules
         from repro.core.symtab_refine import refine_symbol_table
 
@@ -177,7 +182,7 @@ class Executable:
                 sp.set(routines=len(routines), hidden=len(hidden),
                        cached=True)
                 return self
-            self._adopt = adopt or None
+            self.facts = _fact_rules.seed(self, adopt)
             hydrated = trust.attempt(self, trust_meta)
             if hydrated is not None:
                 routines, hidden = hydrated
@@ -190,21 +195,18 @@ class Executable:
             self._routines = RoutineList(routines)
             self._hidden = RoutineList(hidden)
             self._read = True
-            self.facts = FactStore()
             _fact_rules.assert_routines(self, self.facts)
-            cache.store_analysis(self, jobs=jobs)
+            if adopt is not None:
+                # The cfg facts left are the seeded ones refinement kept.
+                _C_ADOPTED.inc(len(self.facts.facts_of_kind("cfg")))
+            cache.store_analysis(self)
         return self
 
     def fact_store(self):
-        """The executable's FactStore, created (with the routine
-        identity facts asserted) on first use."""
-        if self.facts is None:
-            from repro.core.facts import FactStore
-            from repro.core.facts import rules as _fact_rules
-
-            self.facts = FactStore()
-            if self._read:
-                _fact_rules.assert_routines(self, self.facts)
+        """The executable's FactStore, reading the contents first if
+        they have not been read."""
+        if not self._read:
+            self.read_contents()
         return self.facts
 
     def invalidate_routine(self, routine_or_name):
@@ -217,7 +219,6 @@ class Executable:
             raise ExecutableError("unknown routine %r" % (routine_or_name,))
         self.fact_store().invalidate("routine", routine.start)
         self._text_table = None  # the routine's bytes changed: re-decode
-        routine.analysis_summary = None
         routine.delete_control_flow_graph()
         return routine
 
@@ -227,42 +228,6 @@ class Executable:
 
         _fact_rules.solve(self, self.fact_store())
         return self
-
-    def _adoption_view(self, routine):
-        """An adopted analysis summary for *routine*, or None.
-
-        Only byte-identical routines with matching identity adopt: the
-        extent, entry points, hidden flag, and a hash of the text bytes
-        must all agree with the donor's record.
-        """
-        if not self._adopt:
-            return None
-        record = self._adopt.get(routine.start)
-        if record is None:
-            return None
-        summary = record.get("summary") or {}
-        if "cfg" not in summary:
-            return None
-        if (summary.get("end") != routine.end
-                or list(summary.get("entries", ())) != routine.entries
-                or bool(summary.get("hidden")) != routine.hidden):
-            return None
-        from repro.core.facts import rules as _fact_rules
-
-        try:
-            if record.get("text_hash") != _fact_rules.text_hash(
-                    self, routine.start, routine.end):
-                return None
-        except (KeyError, IndexError, ValueError):
-            return None
-        from repro.obs import metrics as _metrics
-
-        _metrics.counter("facts.adopted").inc()
-        view = {"name": routine.name, "start": routine.start,
-                "end": routine.end, "entries": list(routine.entries),
-                "hidden": 1 if routine.hidden else 0,
-                "cfg": summary["cfg"], "liveness": summary.get("liveness")}
-        return view
 
     def routines(self):
         if not self._read:

@@ -23,6 +23,8 @@ byte-identical or intra-routine edit never escalates.
 
 import hashlib
 
+from repro.core.facts.store import FactStore
+from repro.core.symtab_refine import routine_identity
 from repro.isa.base import Category
 from repro.obs import metrics as _metrics
 from repro.obs.trace import span as _span
@@ -35,6 +37,9 @@ _C_ESCALATIONS = _metrics.counter("facts.escalations")
 KIND_ORDER = ("routine", "cfg", "liveness", "cti", "dispatch", "islands",
               "callsites")
 DERIVED_KINDS = KIND_ORDER[1:]
+# What a seeded store keeps of a donor routine: its identity and the two
+# facts the CFG and liveness views restore from.
+SEEDED_KINDS = KIND_ORDER[:3]
 
 
 # ----------------------------------------------------------------------
@@ -42,8 +47,6 @@ DERIVED_KINDS = KIND_ORDER[1:]
 # ----------------------------------------------------------------------
 
 def _derive_routine(executable, routine, store):
-    from repro.core.symtab_refine import routine_identity
-
     return routine_identity(routine), ()
 
 
@@ -141,15 +144,41 @@ def ensure(executable, store, kind, routine):
     return payload
 
 
+def restorable(executable, kind, routine):
+    """The payload *routine*'s CFG or liveness view restores from: a
+    clean *kind* fact whose ``routine`` fact equals the routine's
+    identity.  None means build."""
+    store = executable.facts
+    start = routine.start
+    if store is None or store.is_dirty(kind, start):
+        return None
+    payload = store.get(kind, start)
+    if payload is None \
+            or store.get("routine", start) != routine_identity(routine):
+        return None
+    return payload
+
+
 # ----------------------------------------------------------------------
-# Population (cold path) and summary views
+# Population (cold path), seeding and donors
 # ----------------------------------------------------------------------
 
 def assert_routines(executable, store):
-    """Assert the identity fact of every refined routine."""
-    for routine in executable.all_routines():
-        store.put("routine", routine.start,
-                  DERIVE["routine"](executable, routine, store)[0])
+    """Assert the identity fact of every refined routine.
+
+    Facts of a start address whose identity changed or vanished — a
+    store seeded before refinement moved it — are dropped, after
+    dirtying the facts of other routines that read them.
+    """
+    identities = {routine.start: routine_identity(routine)
+                  for routine in executable.all_routines()}
+    for start, identity in store.facts_of_kind("routine").items():
+        if identities.get(start) != identity:
+            store.invalidate("routine", start)
+            for kind in KIND_ORDER:
+                store.drop(kind, start)
+    for start, identity in identities.items():
+        store.put("routine", start, identity)
 
 
 def populate(executable, store, kinds=DERIVED_KINDS):
@@ -165,27 +194,46 @@ def populate(executable, store, kinds=DERIVED_KINDS):
                 ensure(executable, store, kind, routine)
 
 
-def attach_view(store, routine):
-    """Attach the routine's analysis summary assembled from its facts,
-    so later ``control_flow_graph()`` calls restore instead of build."""
-    identity = store.get("routine", routine.start)
-    cfg = store.get("cfg", routine.start)
-    liveness = store.get("liveness", routine.start)
-    if identity is None or cfg is None or liveness is None:
-        return None
-    view = dict(identity)
-    view["cfg"] = cfg
-    view["liveness"] = liveness
-    routine.analysis_summary = view
-    return view
-
-
 def text_hash(executable, start, end):
     """Short content hash of the text bytes in [start, end)."""
     text = executable.image.sections[".text"]
     lo = start - text.vaddr
     return hashlib.sha256(bytes(text.data[lo:lo + (end - start)])) \
         .hexdigest()[:16]
+
+
+def donor(executable):
+    """What a closely related executable seeds its store from (see
+    :func:`seed`): this one's fact table with every routine's CFG and
+    liveness derived, and the text hash of every routine."""
+    store = executable.fact_store()
+    populate(executable, store, kinds=SEEDED_KINDS[1:])
+    return store.to_summary(), {
+        routine.start: text_hash(executable, routine.start, routine.end)
+        for routine in executable.all_routines()}
+
+
+def seed(executable, adopt=None):
+    """A fact store for *executable*, seeded from a :func:`donor`.
+
+    A donor routine's :data:`SEEDED_KINDS` facts are kept when the
+    executable's text bytes over the routine's extent hash as the
+    donor's did.  Refinement then restores the CFG of any routine whose
+    identity equals a kept one (see :func:`restorable`), and
+    :func:`assert_routines` drops the rest; an empty store without
+    *adopt*.
+    """
+    if adopt is None:
+        return FactStore()
+    table, hashes = adopt
+    store = FactStore.from_summary(table)
+    for start, identity in store.facts_of_kind("routine").items():
+        kept = hashes.get(start) == text_hash(executable, start,
+                                              identity["end"])
+        for kind in KIND_ORDER:
+            if not kept or kind not in SEEDED_KINDS:
+                store.drop(kind, start)
+    return store
 
 
 # ----------------------------------------------------------------------
@@ -227,14 +275,11 @@ def _escalate(executable, store):
     store.clear()
     executable._claimed = set()
     for routine in executable.all_routines():
-        routine.analysis_summary = None
         routine.delete_control_flow_graph()
     routines, hidden = refine_symbol_table(executable)
     executable._routines = RoutineList(routines)
     executable._hidden = RoutineList(hidden)
     populate(executable, store, kinds=kinds)
-    for routine in executable.all_routines():
-        attach_view(store, routine)
 
 
 def solve(executable, store, max_rounds=8):
@@ -261,7 +306,6 @@ def solve(executable, store, max_rounds=8):
                         continue
                     if kind == "cfg":
                         old = store.get("cfg", key)
-                        routine.analysis_summary = None
                         routine.delete_control_flow_graph()
                         payload, deps = _derive_cfg(executable, routine,
                                                     store)
@@ -279,9 +323,5 @@ def solve(executable, store, max_rounds=8):
                         store.put(kind, key, payload, deps)
                         refreshed += 1
                         _C_REFRESHED.inc()
-            for key in {key for k, key in dirty if k in ("cfg", "liveness")}:
-                routine = by_start.get(key)
-                if routine is not None:
-                    attach_view(store, routine)
         sp.set(rederived=rederived, refreshed=refreshed)
     return rederived, refreshed

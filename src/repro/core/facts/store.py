@@ -146,23 +146,21 @@ class FactStore:
         if not isinstance(data, dict):
             return None
         store = cls()
+        facts = store._facts
         try:
             for kind, key, payload in data["facts"]:
                 if not isinstance(kind, str) or not isinstance(key, int):
                     return None
-                store._facts[(kind, key)] = payload
-                store._versions[(kind, key)] = 1
+                facts[(kind, key)] = payload
             for fact_entry, deps in data.get("deps", ()):
-                kind, key = fact_entry
-                fact = (kind, key)
-                if fact not in store._facts:
-                    return None
-                dep_set = frozenset((dk, dkey) for dk, dkey in deps)
-                if any(dep not in store._facts for dep in dep_set):
+                fact = tuple(fact_entry)
+                dep_set = frozenset(map(tuple, deps))
+                if fact not in facts or not dep_set <= facts.keys():
                     return None  # dangling edge: invalidation would skip it
                 store._deps[fact] = dep_set
                 for dep in dep_set:
                     store._rdeps.setdefault(dep, set()).add(fact)
         except (KeyError, TypeError, ValueError):
             return None
+        store._versions = dict.fromkeys(facts, 1)
         return store

@@ -20,9 +20,6 @@ class Routine:
         self.hidden = hidden
         self._cfg = None
         self.edited = None  # EditedRoutine after produce_edited_routine
-        # Cached analysis (CFG + liveness summaries) attached by
-        # repro.cache; honored only while the identity below matches.
-        self.analysis_summary = None
 
     @property
     def entry(self):
@@ -47,40 +44,17 @@ class Routine:
             self.delete_control_flow_graph()
 
     # ------------------------------------------------------------------
-    def _valid_summary(self):
-        """The attached analysis summary, if it still describes us.
-
-        Refinement may move extents or add entry points after a summary
-        was attached (or restored); a stale summary must not be used.
-        """
-        summary = self.analysis_summary
-        if summary is None:
-            return None
-        if (summary.get("start") != self.start
-                or summary.get("end") != self.end
-                or list(summary.get("entries", ())) != self.entries):
-            return None
-        return summary
-
     def control_flow_graph(self):
-        """The routine's CFG, built on first use (or restored from a
-        cached analysis summary when one is attached and still valid)."""
+        """The routine's CFG, built on first use — or restored from the
+        executable's fact store when that holds a clean ``cfg`` fact
+        for this routine's identity."""
         if self._cfg is None:
             from repro.core.analysis.indirect import table_extent
             from repro.core.cfg import CFG
+            from repro.core.facts.rules import restorable
 
-            summary = self._valid_summary()
-            if summary is None:
-                # Fuzz shrinking: a byte-identical routine from the
-                # parent plan donates its summary (guards in
-                # Executable._adoption_view), skipping the rebuild.
-                summary = self.executable._adoption_view(self)
-                if summary is not None:
-                    self.analysis_summary = summary
-            self._cfg = CFG(self, summary=summary["cfg"]
-                            if summary is not None else None)
-            if summary is not None:
-                self._cfg._live_summary = summary.get("liveness")
+            self._cfg = CFG(self, summary=restorable(self.executable, "cfg",
+                                                     self))
             for info in self._cfg.indirect_jumps:
                 if info.status == "table":
                     addr, size = table_extent(info)

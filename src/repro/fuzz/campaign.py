@@ -89,26 +89,16 @@ class _Timed:
 
 
 def _adoptable_facts(executable):
-    """{start: {summary, text_hash}} for every analyzable routine.
-
-    The donor record :meth:`Executable._adoption_view` checks during a
-    later, closely related analysis (the shrinker's delta candidates);
-    a routine whose analysis fails to summarize is simply left out.
-    """
-    from repro.cache.summary import summarize_routine
+    """The donor a later, closely related analysis (the shrinker's
+    delta candidates) seeds its fact store from — see
+    :func:`repro.core.facts.rules.donor` — or None when this plan's
+    analysis fails to populate."""
     from repro.core.facts import rules as fact_rules
 
-    facts = {}
-    for routine in executable.all_routines():
-        try:
-            facts[routine.start] = {
-                "summary": summarize_routine(routine),
-                "text_hash": fact_rules.text_hash(
-                    executable, routine.start, routine.end),
-            }
-        except Exception:
-            continue
-    return facts
+    try:
+        return fact_rules.donor(executable)
+    except Exception:
+        return None
 
 
 def classify_plan(plan, label="fuzz", timings=None, adopt=None,

@@ -55,8 +55,8 @@ from repro.obs import metrics, trace
 # even before the cache package loads; otherwise consecutive reports in
 # one process could disagree on the counter key set.
 for _name in ("hits", "misses", "stores", "invalidations", "evictions",
-              "store_errors", "restored_cfgs", "parallel_fallbacks",
-              "memory_hits", "prune_races", "parallel_suppressed"):
+              "store_errors", "restored_cfgs", "memory_hits",
+              "prune_races"):
     metrics.counter("cache." + _name)
 
 # And the serve daemon: a drained daemon flushes these through

@@ -140,10 +140,8 @@ class EditServer:
     def start(self):
         """Bind the socket, warm the caches, spawn the thread pool."""
         from repro.cache import enable_memory_layer
-        from repro.cache.parallel import suppress_pools
 
         enable_memory_layer(self.config.warm_cap)
-        suppress_pools()
         path = self.config.socket_path
         if os.path.exists(path):
             # Probe before unlink: a *stale* socket (previous daemon

@@ -34,7 +34,7 @@ def tool_names():
     return ("qpt", "sfi", "elsie", "active_memory")
 
 
-def instrument_image(image, tool, mode="edge", jobs=1, cache_size=8192,
+def instrument_image(image, tool, mode="edge", cache_size=8192,
                      only_routines=None):
     """Instrument *image* with the tool named *tool*.
 
@@ -59,7 +59,7 @@ def instrument_image(image, tool, mode="edge", jobs=1, cache_size=8192,
     if tool == "qpt":
         from repro.tools.qpt import QptProfiler
 
-        profiler = QptProfiler(image, mode=mode, jobs=jobs,
+        profiler = QptProfiler(image, mode=mode,
                                only_routines=only_routines).run()
         return EditSession(profiler.exec, profiler.edited_image(), None,
                            profiler, tool)
@@ -79,7 +79,7 @@ def instrument_image(image, tool, mode="edge", jobs=1, cache_size=8192,
                            builder.configure_simulator, builder, tool)
     from repro.tools.active_memory import ActiveMemory
 
-    memory = ActiveMemory(image, cache_size=cache_size, jobs=jobs,
+    memory = ActiveMemory(image, cache_size=cache_size,
                           only_routines=only_routines)
     memory.instrument()
     return EditSession(memory.exec, memory.edited_image(), None,

@@ -63,13 +63,13 @@ class DirectMappedCache:
 class ActiveMemory:
     """Instrument a program with inline cache-state tests."""
 
-    def __init__(self, image, cache_size=8192, jobs=1, only_routines=None):
+    def __init__(self, image, cache_size=8192, only_routines=None):
         if image.arch != "sparc":
             raise ValueError("Active Memory tool currently targets SPARC")
         from repro.tools.common import routine_filter
 
         self.exec = Executable(image)
-        self.exec.read_contents(jobs=jobs)
+        self.exec.read_contents()
         self.only = routine_filter(self.exec, only_routines)
         self.cache_size = cache_size
         # All blocks start non-resident (state byte 1).

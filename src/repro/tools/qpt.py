@@ -39,13 +39,12 @@ class RoutineProfile:
 class QptProfiler:
     """Instrument a program for profiling; reconstruct counts after a run."""
 
-    def __init__(self, image_or_path, mode="edge", jobs=1,
-                 only_routines=None):
+    def __init__(self, image_or_path, mode="edge", only_routines=None):
         if mode not in ("edge", "block"):
             raise ValueError("mode must be 'edge' or 'block'")
         self.mode = mode
         self.exec = Executable(image_or_path)
-        self.exec.read_contents(jobs=jobs)
+        self.exec.read_contents()
         self.only = routine_filter(self.exec, only_routines)
         self.counters = CounterArray(self.exec, "__qpt_counts", 16384)
         self.profiles = {}  # routine name -> RoutineProfile

@@ -108,8 +108,7 @@ def _verdict_key(original_image, edited_image):
 
 
 def verify_session(executable, edited_image=None, stdin_text="",
-                   configure_edited=None, use_memo=True, label="edit",
-                   jobs=1):
+                   configure_edited=None, use_memo=True, label="edit"):
     """Lints + co-simulation for one edit session.
 
     *executable* is the (post-edit) editing session; *edited_image*
@@ -120,7 +119,7 @@ def verify_session(executable, edited_image=None, stdin_text="",
     """
     with _span("verify.run", label=label):
         _C_RUNS.inc()
-        context = VerifyContext(executable, edited_image, jobs=jobs)
+        context = VerifyContext(executable, edited_image)
         key = None
         if use_memo and _cache_enabled():
             key = _verdict_key(context.original_image, context.edited_image)
@@ -174,7 +173,7 @@ def _workload_image(name):
                      % (name, ", ".join(corpus_names())))
 
 
-def instrument_workload(name, tool="qpt", mode="edge", jobs=1):
+def instrument_workload(name, tool="qpt", mode="edge"):
     """Build *name*, instrument it with *tool*, and return
     (executable session, edited image, configure_edited hook).
 
@@ -188,18 +187,18 @@ def instrument_workload(name, tool="qpt", mode="edge", jobs=1):
     if tool not in TOOLS:
         raise ValueError("unknown tool %r (have: %s)"
                          % (tool, ", ".join(TOOLS)))
-    session = instrument_image(image, tool, mode=mode, jobs=jobs)
+    session = instrument_image(image, tool, mode=mode)
     return session.executable, session.edited_image, session.configure_edited
 
 
 def verify_workload(name, tool="qpt", mode="edge", stdin_text="",
-                    use_memo=True, jobs=1):
+                    use_memo=True):
     """Instrument workload *name* with *tool* and verify the edit."""
     executable, edited_image, configure = instrument_workload(
-        name, tool=tool, mode=mode, jobs=jobs)
+        name, tool=tool, mode=mode)
     return verify_session(executable, edited_image, stdin_text=stdin_text,
                           configure_edited=configure, use_memo=use_memo,
-                          label="%s[%s]" % (name, tool), jobs=jobs)
+                          label="%s[%s]" % (name, tool))
 
 
 def _verify_counters():

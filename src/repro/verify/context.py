@@ -151,7 +151,7 @@ class VerifyContext:
     must surface).
     """
 
-    def __init__(self, executable, edited_image=None, jobs=1):
+    def __init__(self, executable, edited_image=None):
         self.executable = executable
         self.arch = executable.arch
         self.codec = executable.codec
@@ -162,7 +162,6 @@ class VerifyContext:
                              else finalized.image)
         self.addr_map = finalized.addr_map
         self.placement = EditPlacement(executable)
-        self._jobs = jobs
         self._analysis = None
         self._cfgs = None
 
@@ -177,7 +176,7 @@ class VerifyContext:
         """
         if self._analysis is None:
             executable = Executable(self.original_image)
-            executable.read_contents(jobs=self._jobs)
+            executable.read_contents()
             self._analysis = executable
         return self._analysis
 

@@ -1,5 +1,5 @@
 """Content-addressed analysis cache: keys, round-trips, warm restores,
-invalidation, pruning, and the parallel cold-cache pipeline."""
+invalidation, pruning, and fact-table hydration."""
 
 import contextlib
 import glob
@@ -233,26 +233,6 @@ def test_prune_caps_entry_count(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Parallel cold-cache analysis
-# ----------------------------------------------------------------------
-
-def test_parallel_summaries_match_serial():
-    with _env(REPRO_CACHE="off"):
-        serial_exe = Executable(build_image("interp")).read_contents()
-        serial = cache.executable_to_summary(serial_exe, jobs=1)
-        parallel_exe = Executable(build_image("interp")).read_contents()
-        parallel = cache.executable_to_summary(parallel_exe, jobs=2)
-    assert parallel == serial
-
-
-def test_jobs_flag_reaches_read_contents():
-    with _env(REPRO_CACHE="off"):
-        exe = Executable(build_image("fib")).read_contents(jobs=2)
-    assert exe._read
-    assert len(list(exe.all_routines())) > 0
-
-
-# ----------------------------------------------------------------------
 # Concurrent pruning, defensive env parsing, and the in-memory layer
 # ----------------------------------------------------------------------
 
@@ -342,7 +322,7 @@ def test_memory_layer_serves_hits_without_disk(tmp_path):
 
 
 # ----------------------------------------------------------------------
-# Versioned blobs and fact-table hydration (ANALYSIS_VERSION 4)
+# Versioned blobs and fact-table hydration
 # ----------------------------------------------------------------------
 
 def _rewrite_blob(path, mutate):
@@ -388,18 +368,64 @@ def test_old_version_blob_misses_cleanly(tmp_path):
         assert _analysis_of(warm) == _analysis_of(exe)
 
 
-def test_missing_fact_table_rejected_not_partially_hydrated(tmp_path):
+def _first_payload(summary, kind):
+    """The first *kind* fact's row in the blob's fact table."""
+    return next(row for row in summary["facts"]["facts"] if row[0] == kind)
+
+
+def _set_payload(kind, payload):
+    def mutate(summary):
+        _first_payload(summary, kind)[2] = payload
+        return summary
+    return mutate
+
+
+def _drop_identity_end(summary):
+    del _first_payload(summary, "routine")[2]["end"]
+    return summary
+
+
+def _drop_facts(summary):
+    del summary["facts"]
+    return summary
+
+
+def _shorten_live_in(summary):
+    liveness = _first_payload(summary, "liveness")[2]
+    liveness["live_in"] = liveness["live_in"][:-1]
+    return summary
+
+
+def _add_unknown_kind(summary):
+    start = _first_payload(summary, "routine")[1]
+    summary["facts"]["facts"].append(["no-such-kind", start, {}])
+    return summary
+
+
+# Blobs with the right magic, version and encoding but the wrong shape:
+# each must read as a miss, not crash a later view.
+_MALFORMED = {
+    "fact-list-not-a-list": lambda summary: dict(
+        summary, facts={"facts": "not-a-fact-list", "deps": []}),
+    "payload-is-a-list": lambda summary: [summary],
+    "no-fact-table": _drop_facts,
+    "identity-without-end": _drop_identity_end,
+    "cfg-payload-empty": _set_payload("cfg", {}),
+    "liveness-live-in-string": _set_payload("liveness", {"live_in": "x"}),
+    "liveness-one-block-short": _shorten_live_in,
+    "unknown-fact-kind": _add_unknown_kind,
+}
+
+
+@pytest.mark.parametrize("mutation", sorted(_MALFORMED))
+def test_missing_fact_table_rejected_not_partially_hydrated(tmp_path,
+                                                            mutation):
     """A structurally valid blob whose fact table is garbage must fall
     back to cold analysis with a clean executable (no partial store)."""
     with _env(REPRO_CACHE="on", REPRO_CACHE_DIR=str(tmp_path)):
         exe = Executable(build_image("fib")).read_contents()
         entries = glob.glob(str(tmp_path / "*.eela"))
-
-        def _break_facts(summary):
-            summary["facts"] = {"facts": "not-a-fact-list", "deps": []}
-            return summary
-
-        _rewrite_blob(entries[0], _break_facts)
+        _rewrite_blob(entries[0], _MALFORMED[mutation])
         metrics.reset()
         warm = Executable(build_image("fib")).read_contents()
         counters = metrics.snapshot()["counters"]
@@ -435,6 +461,42 @@ def test_partial_fact_table_rejected_not_partially_hydrated(tmp_path):
         assert counters["facts.hydrate_rejects"] == 1
         assert counters["cache.stores"] == 1
         assert _analysis_of(warm) == _analysis_of(exe)
+
+
+@pytest.mark.parametrize("stale", [False, True],
+                         ids=["trusted", "rejected"])
+def test_restore_reports_the_stored_metadata_status(tmp_path, stale):
+    """A warm restore reports the metadata status and provenance the
+    read that filled the cache found, and bumps no meta.* counter."""
+    import dataclasses
+
+    from repro.binfmt.meta import attach_meta
+    from repro.binfmt.serialize import image_from_bytes, image_to_bytes
+    from repro.core import trust
+
+    image = image_from_bytes(image_to_bytes(build_image("interp")))
+    with _env(REPRO_CACHE="off"):
+        meta = trust.meta_from_executable(
+            Executable(image).read_contents(trust_meta=False))
+    if stale:
+        digest = bytearray(meta.text_sha256)
+        digest[0] ^= 1
+        meta = dataclasses.replace(meta, text_sha256=bytes(digest))
+    attach_meta(image, meta)
+    blob = image_to_bytes(image)
+    expected = ((("rejected", "text-hash"), "discovery") if stale
+                else (("trusted", None), "metadata"))
+    with _env(REPRO_CACHE="on", REPRO_CACHE_DIR=str(tmp_path),
+              REPRO_TRUST_META="on"):
+        first = Executable(image_from_bytes(blob)).read_contents()
+        metrics.reset()
+        second = Executable(image_from_bytes(blob)).read_contents()
+    counters = metrics.snapshot()["counters"]
+    assert (first.meta_status, first.analysis_provenance) == expected
+    assert (second.meta_status, second.analysis_provenance) == expected
+    assert counters["cache.hits"] == 1
+    assert not any(value for name, value in counters.items()
+                   if name.startswith("meta."))
 
 
 def test_hydrated_store_supports_incremental_invalidation(tmp_path):

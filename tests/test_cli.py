@@ -86,7 +86,7 @@ def test_stats_warm_run_skips_routine_analysis(tmp_path, capsys, monkeypatch):
     capsys.readouterr()
     assert main(["stats", out, "--no-run"]) == 0  # populates the cache
     first = json.loads(capsys.readouterr().out)
-    assert main(["stats", out, "--no-run", "--jobs", "2"]) == 0
+    assert main(["stats", out, "--no-run"]) == 0
     warm = json.loads(capsys.readouterr().out)
 
     counters = warm["counters"]
@@ -152,7 +152,7 @@ def test_disasm_annotates_routines(tmp_path, capsys):
     exe = str(tmp_path / "fib.eelf")
     main(["build", "fib", exe])
     capsys.readouterr()
-    assert main(["disasm", exe, "--jobs", "2"]) == 0
+    assert main(["disasm", exe]) == 0
     captured = capsys.readouterr()
     assert "; routine fib" in captured.out
 

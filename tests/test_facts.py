@@ -219,11 +219,17 @@ def test_signature_change_escalates_to_full_refinement():
     executable.invalidate_routine("main")
     fact_rules.solve(executable, store)
     assert _counter("facts.escalations") == 1
-    # Escalation leaves a complete, clean store behind.
+    # Escalation leaves a complete, clean store behind, which every
+    # routine's CFG restores from.
     assert not store.dirty_facts()
+    metrics.reset()
     for routine in executable.all_routines():
         assert store.get("cfg", routine.start) is not None
-        assert routine.analysis_summary is not None
+        restored = _counter("cache.restored_cfgs")
+        routine.delete_control_flow_graph()
+        routine.control_flow_graph()
+        assert _counter("cache.restored_cfgs") == restored + 1
+    assert _counter("cfg.builds") == 0
 
 
 # ----------------------------------------------------------------------
@@ -320,26 +326,40 @@ def test_warm_image_untouched_routines_stay_restored(tmp_path):
 def test_read_contents_adopts_byte_identical_routines():
     with _env(REPRO_CACHE="off"):
         donor = Executable(build_image("fib")).read_contents()
-        from repro.fuzz.campaign import _adoptable_facts
-
-        adoptable = _adoptable_facts(donor)
-        assert adoptable
+        adoptable = fact_rules.donor(donor)
         metrics.reset()
         child = Executable(build_image("fib")).read_contents(adopt=adoptable)
-        assert _counter("facts.adopted") > 0
+        assert _counter("facts.adopted") == len(donor.all_routines())
         assert _counter("cfg.builds") == 0
         names = {routine.name for routine in donor.all_routines()}
         assert {r.name for r in child.all_routines()} == names
 
 
+def test_adoption_rebuilds_routines_whose_identity_moved():
+    """A donor routine with the same bytes but another identity (here
+    one more entry point) donates nothing: the child builds that CFG,
+    and its store ends as cold analysis leaves it."""
+    with _env(REPRO_CACHE="off"):
+        cold = _populated("fib")[1].to_summary()
+        parent = Executable(build_image("fib")).read_contents()
+        fib = _routine(parent, "fib")
+        fib.add_entry(fib.control_flow_graph().normal_blocks()[1].start)
+        adoptable = fact_rules.donor(parent)
+        metrics.reset()
+        child = Executable(build_image("fib")).read_contents(adopt=adoptable)
+        assert _counter("cfg.builds") == 1
+        assert _counter("facts.adopted") == len(child.all_routines()) - 1
+        store = child.fact_store()
+        fact_rules.populate(child, store)
+        assert store.to_summary() == cold
+
+
 def test_adoption_ignores_stale_text_hashes():
     with _env(REPRO_CACHE="off"):
         donor = Executable(build_image("fib")).read_contents()
-        from repro.fuzz.campaign import _adoptable_facts
-
-        adoptable = _adoptable_facts(donor)
-        for record in adoptable.values():
-            record["text_hash"] = "0" * 16  # pretend the bytes changed
+        table, hashes = fact_rules.donor(donor)
+        # Pretend the bytes changed.
+        adoptable = (table, {start: "0" * 16 for start in hashes})
         metrics.reset()
         child = Executable(build_image("fib")).read_contents(adopt=adoptable)
         assert _counter("facts.adopted") == 0

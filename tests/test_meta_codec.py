@@ -114,7 +114,8 @@ def test_serialize_layer_stability_across_section_reordering():
     in place."""
     from repro.workloads import build_image
 
-    image = build_image("fib")
+    # A private copy: build_image shares one Image per workload.
+    image = image_from_bytes(image_to_bytes(build_image("fib")))
     meta = MetaTable(image.get_section(".text").vaddr,
                      image.get_section(".text").size,
                      b"\x5a" * 32,

@@ -33,7 +33,6 @@ def _counter(name):
 def make_server(tmp_path):
     """Start real in-process servers; drain them all at teardown."""
     from repro.cache import disable_memory_layer
-    from repro.cache.parallel import suppress_pools
 
     started = []
 
@@ -54,10 +53,9 @@ def make_server(tmp_path):
             server.request_drain()
         for server in started:
             assert server.wait_drained(15.0), "server failed to drain"
-        # The daemon flips process-global switches; un-flip for the
-        # rest of the suite.
+        # The daemon turns on the process-global warm layer; turn it
+        # off for the rest of the suite.
         disable_memory_layer()
-        suppress_pools(False)
 
 
 def _client(server, **kwargs):
