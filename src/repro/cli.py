@@ -39,7 +39,7 @@ import sys
 from repro.asm.disassembler import disassemble_section
 from repro.binfmt import read_image, write_image
 from repro.core import Executable
-from repro.sim import run_image
+from repro.sim import ENGINES, run_image
 
 
 # ----------------------------------------------------------------------
@@ -741,7 +741,7 @@ def main(argv=None):
     run.add_argument("--strict-memory", action="store_true",
                      help="fault on misaligned memory accesses instead "
                           "of byte-wise emulation")
-    run.add_argument("--engine", choices=("block", "handwritten", "spawn"),
+    run.add_argument("--engine", choices=ENGINES,
                      default=None,
                      help="execution engine (default: $REPRO_SIM_ENGINE "
                           "or the block compiler)")

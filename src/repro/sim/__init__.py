@@ -5,11 +5,11 @@ original and edited binaries, provides ground-truth execution counts for
 validating instrumentation, and reports instruction counts that serve as
 the time metric in the benchmark harness.
 
-Two interchangeable engines execute instructions (plus the
-description-driven ``spawn`` engine): the per-instruction
-``handwritten`` interpreter and the default ``block`` engine, which
-compiles basic blocks into specialized Python functions
-(:mod:`repro.sim.blocks`).  Select per Simulator with ``engine=`` or
+Two interchangeable engines execute instructions: the default
+``block`` engine, which compiles basic blocks into Python functions
+generated from the spawn descriptions' RTL (:mod:`repro.sim.blocks`),
+and the per-instruction ``handwritten`` interpreter, the independent
+oracle it is tested against.  Select per Simulator with ``engine=`` or
 process-wide with ``$REPRO_SIM_ENGINE``.
 """
 

@@ -5,10 +5,13 @@ a decode-cache probe, and a closure call for every architectural
 instruction.  This engine decodes a *basic block* once — a straight
 run of instructions ending at a control-transfer instruction (CTI),
 its delay slot, or a configurable maximum length — and compiles it
-into one specialized Python function: operands and pc-relative
-targets are folded to constants, the pc/npc delay bookkeeping is
-fused away for the straight-line interior, and condition codes live
-in locals between instructions.  Compiled blocks are cached per entry
+into one specialized Python function whose instruction code is
+compiled from the spawn description's RTL (:mod:`repro.spawn.compiler`):
+operands and pc-relative targets are folded to constants, the pc/npc
+delay bookkeeping is fused away for the straight-line interior, and
+condition codes live in locals between instructions.  The handwritten
+CPU underneath supplies register state and the single-step fallback,
+and stays the independent oracle.  Compiled blocks are cached per entry
 pc within the current text version (a write into an executable
 section bumps ``text_version`` and empties the cache, which is the
 flyweight eviction story for ``(pc, text-version)`` keys with zero
@@ -66,10 +69,9 @@ from repro.sim.machine import (
     SimulationError,
     SimulationTimeout,
     SparcCPU,
-    _MIPS_IMM,
-    _MIPS_REG3,
-    _SPARC_ALU,
 )
+from repro.spawn import build_codec
+from repro.spawn.compiler import RTLCompiler
 
 # A block compiles only once its entry pc has been looked up this many
 # times: one-shot straight-line code stays on the interpreter (no
@@ -129,37 +131,39 @@ _UNCOMPILABLE = (1, None)
 BLOCK_MEMO_CAP = 4096
 
 
-def _reg(number):
-    return "r[%d]" % number if number else "0"
+# The block compiler's only per-ISA data: where a system trap finds its
+# number and arguments and where it leaves its result (the simulated
+# system-call convention of the handwritten CPUs).
+_TRAP_REGS = {"sparc": (1, 8, 14, 8), "mips": (2, 4, 8, 2)}
 
 
 # ----------------------------------------------------------------------
 # Source emission
 # ----------------------------------------------------------------------
 
-class _Emitter(object):
-    """Builds the Python source of one block, instruction by
-    instruction, tracking per-path state (condition-code locals on
-    SPARC, category tallies) so each exit path writes back exactly
-    what it dirtied."""
+class _Emitter(RTLCompiler):
+    """Builds the Python source of one block.  Each instruction's
+    statements come from its description RTL, found with the spawn
+    codec (:class:`~repro.spawn.compiler.RTLCompiler`); this
+    class adds the block around them: the scan, delay slots and fused
+    transfers, exits, inlined memory access, and per-path state
+    (condition-code locals, category tallies) so each exit path writes
+    back exactly what it dirtied."""
 
     BASE = "        "  # statement indent inside ``def _block():``
 
     def __init__(self, cpu, mode, stops):
+        arch = cpu.simulator.image.arch
+        RTLCompiler.__init__(self, build_codec(arch))
+        self.trap_regs = _TRAP_REGS[arch]
         self.cpu = cpu
         self.count_pcs, self.counting, self.hooked = mode
         self.stops = stops
-        self.lines = []
-        self.ntmp = 0
         self.path_cats = []
         self.max_count = 0
         self.needs = set()  # which factory-local helpers to bind
 
     # -- shared helpers ------------------------------------------------
-    def tmp(self):
-        self.ntmp += 1
-        return "_t%d" % self.ntmp
-
     def count(self, ind, pc, inst):
         if self.count_pcs:
             self.lines.append("%spc_counts[%d] = _pg(%d, 0) + 1"
@@ -168,21 +172,11 @@ class _Emitter(object):
             self.path_cats.append(inst.category)
 
     def snapshot(self):
-        return (len(self.path_cats), self._state())
+        return (len(self.path_cats), self.flags_loaded, self.flags_dirty)
 
     def restore(self, snap):
-        ncats, state = snap
+        ncats, self.flags_loaded, self.flags_dirty = snap
         del self.path_cats[ncats:]
-        self._restore_state(state)
-
-    def _state(self):
-        return None
-
-    def _restore_state(self, state):
-        pass
-
-    def flags_writeback(self, ind):
-        pass
 
     def flush_exit_prologue(self, ind):
         self.flags_writeback(ind)
@@ -215,20 +209,21 @@ class _Emitter(object):
         if count > self.max_count:
             self.max_count = count
 
-    def emit_trap(self, ind, pc, count, num_expr, args_expr, result_reg):
+    def emit_trap(self, ind, pc, count):
         """A system trap ends the block: architectural state (flags,
         counts, pc/npc) is written back *before* dispatch so a syscall
         — or the ExitProgram unwind — observes exactly what the
         interpreter would show."""
+        number, first, last, result = self.trap_regs
         out = self.lines
         self.flush_exit_prologue(ind)
         out.append("%scpu.pc = %d" % (ind, pc))
         out.append("%scpu.npc = %d" % (ind, pc + 4))
         out.append("%ssim.instructions_executed += %d" % (ind, count))
         t = self.tmp()
-        out.append("%s%s = syscalls.dispatch(%s, %s)"
-                   % (ind, t, num_expr, args_expr))
-        out.append("%sr[%d] = %s & 4294967295" % (ind, result_reg, t))
+        out.append("%s%s = syscalls.dispatch(r[%d], r[%d:%d])"
+                   % (ind, t, number, first, last))
+        out.append("%sr[%d] = %s & 4294967295" % (ind, result, t))
         out.append("%scpu.pc = %d" % (ind, pc + 4))
         out.append("%scpu.npc = %d" % (ind, pc + 8))
         out.append("%sreturn %d" % (ind, count))
@@ -369,16 +364,123 @@ class _Emitter(object):
             self.needs.add("mem")
             out.append("%smem_load(%s, %d, %s)" % (ind, a, width, signed))
 
-    def is_nop_branch(self, inst):
-        return False
+    # -- driver --------------------------------------------------------
+    def decode(self, pc):
+        """The instruction at *pc*, or None when the description has no
+        semantics for it (it is left to the dispatch loop)."""
+        inst = self.cpu.codec.decode(self.cpu.memory.load(pc, 4))
+        if inst.category is Category.INVALID \
+                or self.described(inst.word) is None:
+            return None
+        return inst
 
-    def fuse_cti(self, ind, pc, inst, count):
-        """Emit an unconditional, constant-target CTI *inline* and hand
-        the scan its continuation pc, or return None when this CTI must
-        end the block.  Fusing calls and unconditional branches is what
-        lets blocks span whole call chains instead of stopping every
-        handful of instructions."""
-        return None
+    def compile(self, pc0):
+        stops = self.stops
+        max_len = self.cpu._block_max_len
+        ind = self.BASE
+        pc = pc0
+        count = 0
+        complete = False
+        while count < max_len:
+            # `count` (not `pc != pc0`) guards the entry pc: a fused
+            # loop may revisit pc0 mid-block, and if pc0 is a stop the
+            # interpreter would halt there.
+            if stops is not None and count and pc in stops:
+                break
+            inst = self.decode(pc)
+            if inst is None:
+                break
+            if not inst.category.is_control:
+                self.count(ind, pc, inst)
+                self.semantics(ind, pc, inst, count, False)
+                count += 1
+                pc += 4
+                continue
+            step = self.emit_cti(ind, pc, inst, count)
+            if not isinstance(step, tuple):
+                complete = step
+                break
+            count, pc = step
+        if not complete:
+            if count == 0:
+                return _UNCOMPILABLE
+            # Ended before an instruction left to the dispatch loop, at
+            # a stop pc, or at the length cap: fall through to it.
+            self.exit_const(ind, count, pc)
+        return self.finish(pc0)
+
+    def emit_cti(self, ind, pc, inst, count):
+        """Emit a control transfer or trap at *pc* with its delay slot.
+        Returns a ``(count, pc)`` continuation when the transfer fuses
+        into the block, True when it ends the block, and False when it
+        is left to the dispatch loop (its slot cannot be compiled).
+
+        Fusing transfers whose target and direction fold to constants
+        (calls, unconditional branches, statically decided ones) is
+        what lets blocks span whole call chains instead of stopping
+        every handful of instructions."""
+        mark = len(self.lines), self.snapshot()
+        self.count(ind, pc, inst)
+        ctl = self.semantics(ind, pc, inst, count, False)
+        if ctl.trap:
+            self.emit_trap(ind, pc, count + 1)
+            return True
+        target = ctl.target
+        if ctl.cond is None:
+            if target is None:
+                # Never taken: a nop, or an annulled skip of the slot.
+                return count + 1, pc + (8 if ctl.annul else 4)
+            if isinstance(target, int):
+                if not inst.is_delayed:  # taken, and the slot is annulled
+                    return count + 1, target
+                slot = self.fusable_slot(pc)
+                if slot is not None:
+                    self.emit_slot(ind, pc + 4, slot, count + 1)
+                    return count + 2, target
+        slot = self.fetch_slot(pc)
+        if slot is None or not inst.is_delayed:
+            del self.lines[mark[0]:]
+            self.restore(mark[1])
+            return False
+        if ctl.cond is None:
+            self.transfer(ind, pc, slot, count, target)
+            return True
+        self.lines.append("%sif %s:" % (ind, ctl.cond))
+        snap = self.snapshot()
+        self.transfer(ind + "    ", pc, slot, count, target)
+        self.restore(snap)
+        if ctl.annul:
+            self.exit_const(ind, count + 1, pc + 8)
+        else:
+            self.emit_slot(ind, pc + 4, slot, count + 1)
+            self.exit_const(ind, count + 2, pc + 8)
+        return True
+
+    def transfer(self, ind, pc, slot, count, target):
+        """The taken path of the transfer at *pc*: a computed target's
+        alignment check, the delay *slot*, and the exit."""
+        if isinstance(target, int):
+            self.emit_slot(ind, pc + 4, slot, count + 1)
+            self.exit_const(ind, count + 2, target)
+            return
+        self.lines.append("%sif %s & 3:" % (ind, target))
+        self.lines.append("%s    raise SimulationError("
+                          "'misaligned jump to 0x%%x' %% %s)" % (ind, target))
+        self.emit_slot(ind, pc + 4, slot, count + 1)
+        self.exit_var(ind, count + 2, target)
+
+    def fetch_slot(self, pc):
+        """The delay-slot instruction at ``pc + 4``, when it can be
+        fused into this block (straight-line, and not a run_until
+        stop — a mid-delay stop must come from the single-step path so
+        pc/npc land exactly as the interpreter leaves them)."""
+        slot_pc = pc + 4
+        if self.stops is not None and slot_pc in self.stops:
+            return None
+        inst = self.decode(slot_pc)
+        if inst is None or inst.category.is_control:
+            return None
+        return inst
 
     def fusable_slot(self, pc):
         """``fetch_slot`` for fusion sites: additionally refuses a
@@ -391,68 +493,9 @@ class _Emitter(object):
             return None
         return slot
 
-    # -- driver --------------------------------------------------------
-    def compile(self, pc0):
-        cpu = self.cpu
-        memory = cpu.memory
-        decode = cpu.codec.decode
-        stops = self.stops
-        max_len = cpu._block_max_len
-        ind = self.BASE
-        pc = pc0
-        count = 0
-        complete = False
-        while count < max_len:
-            # `count` (not `pc != pc0`) guards the entry pc: a fused
-            # loop may revisit pc0 mid-block, and if pc0 is a stop the
-            # interpreter would halt there.
-            if stops is not None and count and pc in stops:
-                break
-            inst = decode(memory.load(pc, 4))
-            if self.emittable(inst):
-                self.count(ind, pc, inst)
-                self.emit_inst(ind, pc, inst, count, False)
-                count += 1
-                pc += 4
-                continue
-            if self.is_nop_branch(inst):
-                # A statically-untaken, non-annulling branch is a nop:
-                # its delay slot is just the next instruction.
-                self.count(ind, pc, inst)
-                count += 1
-                pc += 4
-                continue
-            fused = self.fuse_cti(ind, pc, inst, count)
-            if fused is not None:
-                count, pc = fused
-                continue
-            complete = self.emit_cti(ind, pc, inst, count)
-            break
-        if not complete:
-            if count == 0:
-                return _UNCOMPILABLE
-            # Ended before an unfusable instruction, at a stop pc, or
-            # at the length cap: fall through to the dispatch loop.
-            self.exit_const(ind, count, pc)
-        return self.finish(pc0)
-
-    def fetch_slot(self, pc):
-        """The delay-slot instruction at ``pc + 4``, when it can be
-        fused into this block (compilable, not itself delayed, and not
-        a run_until stop — a mid-delay stop must come from the
-        single-step path so pc/npc land exactly as the interpreter
-        leaves them)."""
-        slot_pc = pc + 4
-        if self.stops is not None and slot_pc in self.stops:
-            return None
-        inst = self.cpu.codec.decode(self.cpu.memory.load(slot_pc, 4))
-        if self.emittable(inst):
-            return inst
-        return None
-
     def emit_slot(self, ind, slot_pc, slot, idx):
         self.count(ind, slot_pc, slot)
-        self.emit_inst(ind, slot_pc, slot, idx, True)
+        self.semantics(ind, slot_pc, slot, idx, True)
 
     def finish(self, pc0):
         header = [
@@ -486,712 +529,6 @@ class _Emitter(object):
 
 
 # ----------------------------------------------------------------------
-# SPARC
-# ----------------------------------------------------------------------
-
-_SPARC_COND = {
-    "e": "z",
-    "ne": "not z",
-    "l": "n ^ v",
-    "le": "z or (n ^ v)",
-    "ge": "not (n ^ v)",
-    "g": "not (z or (n ^ v))",
-    "cs": "c",
-    "leu": "c or z",
-    "gu": "not (c or z)",
-    "cc": "not c",
-    "pos": "not n",
-    "neg": "n",
-    "vs": "v",
-    "vc": "not v",
-}
-
-_SPARC_SIMPLE = frozenset(_SPARC_ALU) | frozenset(
-    ("sethi", "save", "restore", "rdpsr", "wrpsr"))
-
-
-class _SparcEmitter(_Emitter):
-
-    def __init__(self, cpu, mode, stops):
-        _Emitter.__init__(self, cpu, mode, stops)
-        self.flags_loaded = False
-        self.flags_dirty = False
-
-    def _state(self):
-        return (self.flags_loaded, self.flags_dirty)
-
-    def _restore_state(self, state):
-        self.flags_loaded, self.flags_dirty = state
-
-    def ensure_flags(self, ind):
-        if not self.flags_loaded:
-            self.lines.append(ind + "n, z, v, c = cpu.icc")
-            self.flags_loaded = True
-
-    def set_flags_dirty(self):
-        self.flags_loaded = True
-        self.flags_dirty = True
-
-    def flags_writeback(self, ind):
-        if self.flags_dirty:
-            self.lines.append(ind + "cpu.icc = (n, z, v, c)")
-
-    # -- operand helpers -----------------------------------------------
-    def src2_const(self, f):
-        return f["simm13"] & M32 if f.get("iflag") else None
-
-    def src2_expr(self, f):
-        const = self.src2_const(f)
-        if const is not None:
-            return str(const)
-        return _reg(f["rs2"])
-
-    def add_expr(self, rs1, f):
-        """``(r[rs1] + src2) & M32`` with constant/zero folding."""
-        const = self.src2_const(f)
-        if const is not None:
-            if rs1 == 0:
-                return str(const)
-            if const == 0:
-                return "r[%d]" % rs1
-            return "(r[%d] + %d) & 4294967295" % (rs1, const)
-        rs2 = f["rs2"]
-        if rs1 == 0:
-            return _reg(rs2)
-        if rs2 == 0:
-            return "r[%d]" % rs1
-        return "(r[%d] + r[%d]) & 4294967295" % (rs1, rs2)
-
-    # -- classification ------------------------------------------------
-    def emittable(self, inst):
-        category = inst.category
-        if category is Category.INVALID or category.is_control:
-            return False
-        if category.is_memory:
-            return True
-        return inst.name in _SPARC_SIMPLE
-
-    def is_nop_branch(self, inst):
-        # ``bn`` without annulment advances like a nop and its "slot"
-        # is simply the next instruction.
-        return (inst.category is Category.BRANCH and inst.cond == "n"
-                and not inst.f["aflag"])
-
-    # -- straight-line instructions --------------------------------------
-    def emit_inst(self, ind, pc, inst, idx, in_slot):
-        name = inst.name
-        f = inst.f
-        out = self.lines
-        if inst.category.is_memory:
-            addr = self.add_expr(f["rs1"], f)
-            self.emit_memory(ind, pc, inst, idx, in_slot, addr,
-                             _reg(f["rd"]), f["rd"])
-            return
-        if name == "sethi":
-            if f["rd"]:
-                out.append("%sr[%d] = %d"
-                           % (ind, f["rd"], (f["imm22"] << 10) & M32))
-            return
-        if name in _SPARC_ALU:
-            self.emit_alu(ind, pc, inst, name, f)
-            return
-        if name == "save":
-            t = self.tmp()
-            out.append("%s%s = %s" % (ind, t, self.add_expr(f["rs1"], f)))
-            out.append("%scpu.windows.append((r[16:24], r[24:32]))" % ind)
-            out.append("%sr[24:32] = r[8:16]" % ind)
-            out.append("%sr[8:24] = _Z16" % ind)
-            if f["rd"]:
-                out.append("%sr[%d] = %s" % (ind, f["rd"], t))
-            return
-        if name == "restore":
-            out.append("%sif not cpu.windows:" % ind)
-            out.append("%s    raise SimulationError("
-                       "'register window underflow')" % ind)
-            t = self.tmp()
-            out.append("%s%s = %s" % (ind, t, self.add_expr(f["rs1"], f)))
-            out.append("%sr[8:16] = r[24:32]" % ind)
-            tl, ti = self.tmp(), self.tmp()
-            out.append("%s%s, %s = cpu.windows.pop()" % (ind, tl, ti))
-            out.append("%sr[16:24] = %s" % (ind, tl))
-            out.append("%sr[24:32] = %s" % (ind, ti))
-            if f["rd"]:
-                out.append("%sr[%d] = %s" % (ind, f["rd"], t))
-            return
-        if name == "rdpsr":
-            if f["rd"]:
-                self.ensure_flags(ind)
-                out.append("%sr[%d] = (n << 23) | (z << 22) | (v << 21)"
-                           " | (c << 20)" % (ind, f["rd"]))
-            return
-        if name == "wrpsr":
-            t = self.tmp()
-            out.append("%s%s = %s" % (ind, t, _reg(f["rs1"])))
-            out.append("%sn = (%s >> 23) & 1" % (ind, t))
-            out.append("%sz = (%s >> 22) & 1" % (ind, t))
-            out.append("%sv = (%s >> 21) & 1" % (ind, t))
-            out.append("%sc = (%s >> 20) & 1" % (ind, t))
-            self.set_flags_dirty()
-            return
-        raise AssertionError("emittable() admitted %s" % name)
-
-    def emit_alu(self, ind, pc, inst, name, f):
-        out = self.lines
-        sets_cc = name.endswith("cc")
-        base = name[:-2] if sets_cc else name
-        rs1 = f["rs1"]
-        rd = f["rd"]
-        A = _reg(rs1)
-        B = self.src2_expr(f)
-        const = self.src2_const(f)
-
-        if base in ("add", "sub"):
-            if not sets_cc:
-                if not rd:
-                    return
-                if base == "add":
-                    out.append("%sr[%d] = %s" % (ind, rd,
-                                                 self.add_expr(rs1, f)))
-                elif const == 0:
-                    out.append("%sr[%d] = %s" % (ind, rd, A))
-                else:
-                    out.append("%sr[%d] = (%s - %s) & 4294967295"
-                               % (ind, rd, A, B))
-                return
-            a, b, res = self.tmp(), self.tmp(), self.tmp()
-            op = "-" if base == "sub" else "+"
-            out.append("%s%s = %s" % (ind, a, A))
-            out.append("%s%s = %s" % (ind, b, B))
-            out.append("%s%s = (%s %s %s) & 4294967295"
-                       % (ind, res, a, op, b))
-            out.append("%sn = %s >> 31" % (ind, res))
-            out.append("%sz = 1 if %s == 0 else 0" % (ind, res))
-            if base == "sub":
-                out.append("%sv = (((%s ^ %s) & (%s ^ %s)) >> 31) & 1"
-                           % (ind, a, b, a, res))
-                out.append("%sc = 1 if %s > %s else 0" % (ind, b, a))
-            else:
-                out.append("%sv = ((~(%s ^ %s) & (%s ^ %s)) >> 31) & 1"
-                           % (ind, a, b, a, res))
-                out.append("%sc = 1 if %s + %s > 4294967295 else 0"
-                           % (ind, a, b))
-            self.set_flags_dirty()
-            if rd:
-                out.append("%sr[%d] = %s" % (ind, rd, res))
-            return
-
-        if base in ("sll", "srl", "sra"):
-            if not rd:
-                return
-            if const is not None:
-                k = const & 31
-                if base == "sll":
-                    expr = A if k == 0 else \
-                        "(%s << %d) & 4294967295" % (A, k)
-                elif base == "srl":
-                    expr = A if k == 0 else "%s >> %d" % (A, k)
-                else:
-                    expr = "(to_s32(%s) >> %d) & 4294967295" % (A, k)
-            else:
-                if base == "sll":
-                    expr = "(%s << (%s & 31)) & 4294967295" % (A, B)
-                elif base == "srl":
-                    expr = "%s >> (%s & 31)" % (A, B)
-                else:
-                    expr = "(to_s32(%s) >> (%s & 31)) & 4294967295" % (A, B)
-            out.append("%sr[%d] = %s" % (ind, rd, expr))
-            return
-
-        if base in ("umul", "smul"):
-            p = self.tmp()
-            if base == "umul":
-                out.append("%s%s = %s * %s" % (ind, p, A, B))
-            else:
-                out.append("%s%s = to_s32(%s) * to_s32(%s)" % (ind, p, A, B))
-            out.append("%scpu.y = (%s >> 32) & 4294967295" % (ind, p))
-            if rd:
-                out.append("%sr[%d] = %s & 4294967295" % (ind, rd, p))
-            return
-
-        if base in ("udiv", "sdiv"):
-            b = self.tmp()
-            out.append("%s%s = %s" % (ind, b, B))
-            out.append("%sif %s == 0:" % (ind, b))
-            out.append("%s    raise SimulationError("
-                       "'division by zero at 0x%x')" % (ind, pc))
-            if base == "udiv":
-                if rd:
-                    out.append("%sr[%d] = (%s // %s) & 4294967295"
-                               % (ind, rd, A, b))
-                return
-            sa, sb, q = self.tmp(), self.tmp(), self.tmp()
-            out.append("%s%s = to_s32(%s)" % (ind, sa, A))
-            out.append("%s%s = to_s32(%s)" % (ind, sb, b))
-            out.append("%s%s = abs(%s) // abs(%s)" % (ind, q, sa, sb))
-            out.append("%sif (%s < 0) != (%s < 0):" % (ind, sa, sb))
-            out.append("%s    %s = -%s" % (ind, q, q))
-            if rd:
-                out.append("%sr[%d] = %s & 4294967295" % (ind, rd, q))
-            return
-
-        # Bitwise family: results stay within 32 bits, so the inverted
-        # operand of andn/orn/xnor folds into a constant xor.
-        if base == "and":
-            expr = "%s & %s" % (A, B)
-        elif base == "or":
-            expr = "%s | %s" % (A, B)
-        elif base == "xor":
-            expr = "%s ^ %s" % (A, B)
-        elif base == "andn":
-            expr = "%s & %s" % (A, str(const ^ M32) if const is not None
-                                else "(%s ^ 4294967295)" % B)
-        elif base == "orn":
-            expr = "%s | %s" % (A, str(const ^ M32) if const is not None
-                                else "(%s ^ 4294967295)" % B)
-        elif base == "xnor":
-            if const is not None:
-                expr = "%s ^ %d" % (A, const ^ M32)
-            else:
-                expr = "(%s ^ %s) ^ 4294967295" % (A, B)
-        else:
-            raise AssertionError("unhandled ALU op %s" % name)
-        if not sets_cc:
-            if rd:
-                out.append("%sr[%d] = %s" % (ind, rd, expr))
-            return
-        res = self.tmp()
-        out.append("%s%s = %s" % (ind, res, expr))
-        out.append("%sn = %s >> 31" % (ind, res))
-        out.append("%sz = 1 if %s == 0 else 0" % (ind, res))
-        out.append("%sv = 0" % ind)
-        out.append("%sc = 0" % ind)
-        self.set_flags_dirty()
-        if rd:
-            out.append("%sr[%d] = %s" % (ind, rd, res))
-
-    # -- control transfers ---------------------------------------------
-    def fuse_cti(self, ind, pc, inst, count):
-        name = inst.name
-        f = inst.f
-        if inst.category is Category.BRANCH:
-            cond = inst.cond
-            annulled = bool(f["aflag"])
-            if cond == "a":
-                target = (pc + (f["disp22"] << 2)) & M32
-                if annulled:
-                    self.count(ind, pc, inst)
-                    return count + 1, target
-                slot = self.fusable_slot(pc)
-                if slot is None:
-                    return None
-                self.count(ind, pc, inst)
-                self.emit_slot(ind, pc + 4, slot, count + 1)
-                return count + 2, target
-            if cond == "n" and annulled:
-                self.count(ind, pc, inst)
-                return count + 1, pc + 8
-            return None
-        if name == "call":
-            slot = self.fusable_slot(pc)
-            if slot is None:
-                return None
-            target = (pc + (f["disp30"] << 2)) & M32
-            self.count(ind, pc, inst)
-            self.lines.append("%sr[15] = %d" % (ind, pc))
-            self.emit_slot(ind, pc + 4, slot, count + 1)
-            return count + 2, target
-        return None
-
-    def emit_cti(self, ind, pc, inst, idx):
-        name = inst.name
-        f = inst.f
-        out = self.lines
-
-        if name == "ta":
-            self.count(ind, pc, inst)
-            self.emit_trap(ind, pc, idx + 1, "r[1]", "r[8:14]", 8)
-            return True
-
-        if inst.category is Category.BRANCH:
-            cond = inst.cond
-            annulled = bool(f["aflag"])
-            target = (pc + (f["disp22"] << 2)) & M32
-            if cond == "a" and annulled:
-                self.count(ind, pc, inst)
-                self.exit_const(ind, idx + 1, target)
-                return True
-            if cond == "n":  # annulled: plain bn is handled as a nop
-                self.count(ind, pc, inst)
-                self.exit_const(ind, idx + 1, pc + 8)
-                return True
-            slot = self.fetch_slot(pc)
-            if slot is None:
-                return False
-            if cond == "a":
-                self.count(ind, pc, inst)
-                self.emit_slot(ind, pc + 4, slot, idx + 1)
-                self.exit_const(ind, idx + 2, target)
-                return True
-            self.count(ind, pc, inst)
-            self.ensure_flags(ind)
-            out.append("%sif %s:" % (ind, _SPARC_COND[cond]))
-            snap = self.snapshot()
-            self.emit_slot(ind + "    ", pc + 4, slot, idx + 1)
-            self.exit_const(ind + "    ", idx + 2, target)
-            self.restore(snap)
-            if annulled:
-                self.exit_const(ind, idx + 1, pc + 8)
-            else:
-                self.emit_slot(ind, pc + 4, slot, idx + 1)
-                self.exit_const(ind, idx + 2, pc + 8)
-            return True
-
-        if name == "call":
-            slot = self.fetch_slot(pc)
-            if slot is None:
-                return False
-            target = (pc + (f["disp30"] << 2)) & M32
-            self.count(ind, pc, inst)
-            out.append("%sr[15] = %d" % (ind, pc))
-            self.emit_slot(ind, pc + 4, slot, idx + 1)
-            self.exit_const(ind, idx + 2, target)
-            return True
-
-        if name == "jmpl":
-            slot = self.fetch_slot(pc)
-            if slot is None:
-                return False
-            self.count(ind, pc, inst)
-            t = self.tmp()
-            out.append("%s%s = %s" % (ind, t, self.add_expr(f["rs1"], f)))
-            if f["rd"]:
-                out.append("%sr[%d] = %d" % (ind, f["rd"], pc))
-            out.append("%sif %s & 3:" % (ind, t))
-            out.append("%s    raise SimulationError("
-                       "'misaligned jump to 0x%%x' %% %s)" % (ind, t))
-            self.emit_slot(ind, pc + 4, slot, idx + 1)
-            self.exit_var(ind, idx + 2, t)
-            return True
-
-        return False
-
-
-# ----------------------------------------------------------------------
-# MIPS
-# ----------------------------------------------------------------------
-
-_MIPS_LIKELY = ("beql", "bnel", "blezl", "bgtzl", "bltzl", "bgezl")
-
-_MIPS_SIMPLE = frozenset(_MIPS_REG3) | frozenset(_MIPS_IMM) | frozenset(
-    ("sll", "srl", "sra", "sllv", "srlv", "srav", "lui",
-     "mfhi", "mflo", "mult", "multu", "div", "divu"))
-
-
-class _MipsEmitter(_Emitter):
-
-    def emittable(self, inst):
-        category = inst.category
-        if category is Category.INVALID or category.is_control:
-            return False
-        if category.is_memory:
-            return True
-        return inst.name in _MIPS_SIMPLE
-
-    def addr_expr(self, rs, imm):
-        if rs == 0:
-            return str(imm & M32)
-        if imm == 0:
-            return "r[%d]" % rs
-        return "(r[%d] + %d) & 4294967295" % (rs, imm)
-
-    @staticmethod
-    def _branch_parts(inst):
-        name = inst.name
-        base = name[:-1] if name in _MIPS_LIKELY else name
-        f = inst.f
-        return base, f["rs"], f.get("rt", 0)
-
-    def _static_branch(self, inst):
-        """True/False when the branch outcome is decidable at compile
-        time (``$zero`` comparisons), None when it is dynamic."""
-        base, rs, rt = self._branch_parts(inst)
-        if base in ("beq", "bne"):
-            if rs == rt:
-                return base == "beq"
-            if rs == 0 or rt == 0:
-                return None
-            return None
-        if rs == 0:
-            return base in ("blez", "bgez")
-        return None
-
-    def _branch_test(self, inst):
-        base, rs, rt = self._branch_parts(inst)
-        A = _reg(rs)
-        if base == "beq":
-            return "%s == %s" % (A, _reg(rt))
-        if base == "bne":
-            return "%s != %s" % (A, _reg(rt))
-        if base == "blez":
-            return "to_s32(%s) <= 0" % A
-        if base == "bgtz":
-            return "to_s32(%s) > 0" % A
-        if base == "bltz":
-            return "to_s32(%s) < 0" % A
-        if base == "bgez":
-            return "to_s32(%s) >= 0" % A
-        return None
-
-    def is_nop_branch(self, inst):
-        if inst.category is not Category.BRANCH or inst.annul_untaken:
-            return False
-        return self._static_branch(inst) is False
-
-    # -- straight-line instructions --------------------------------------
-    def emit_inst(self, ind, pc, inst, idx, in_slot):
-        name = inst.name
-        f = inst.f
-        out = self.lines
-        category = inst.category
-
-        if category.is_memory:
-            addr = self.addr_expr(f["rs"], f["imm16"])
-            self.emit_memory(ind, pc, inst, idx, in_slot, addr,
-                             _reg(f["rt"]), f["rt"])
-            return
-
-        if name in _MIPS_REG3:
-            rd, rs, rt = f["rd"], f["rs"], f["rt"]
-            if not rd:
-                return
-            A, B = _reg(rs), _reg(rt)
-            if name == "addu":
-                if rs == 0:
-                    expr = B
-                elif rt == 0:
-                    expr = A
-                else:
-                    expr = "(%s + %s) & 4294967295" % (A, B)
-            elif name == "subu":
-                expr = A if rt == 0 else "(%s - %s) & 4294967295" % (A, B)
-            elif name == "and":
-                expr = "%s & %s" % (A, B)
-            elif name == "or":
-                expr = "%s | %s" % (A, B)
-            elif name == "xor":
-                expr = "%s ^ %s" % (A, B)
-            elif name == "nor":
-                expr = "(%s | %s) ^ 4294967295" % (A, B)
-            elif name == "slt":
-                expr = "1 if to_s32(%s) < to_s32(%s) else 0" % (A, B)
-            else:  # sltu
-                expr = "1 if %s < %s else 0" % (A, B)
-            out.append("%sr[%d] = %s" % (ind, rd, expr))
-            return
-
-        if name in ("sll", "srl", "sra"):
-            rd, rt, k = f["rd"], f["rt"], f["shamt"]
-            if not rd:
-                return
-            A = _reg(rt)
-            if name == "sll":
-                expr = A if k == 0 else "(%s << %d) & 4294967295" % (A, k)
-            elif name == "srl":
-                expr = A if k == 0 else "%s >> %d" % (A, k)
-            else:
-                expr = "(to_s32(%s) >> %d) & 4294967295" % (A, k)
-            out.append("%sr[%d] = %s" % (ind, rd, expr))
-            return
-
-        if name in ("sllv", "srlv", "srav"):
-            rd, rt, rs = f["rd"], f["rt"], f["rs"]
-            if not rd:
-                return
-            A, S = _reg(rt), "(%s & 31)" % _reg(rs)
-            if name == "sllv":
-                expr = "(%s << %s) & 4294967295" % (A, S)
-            elif name == "srlv":
-                expr = "%s >> %s" % (A, S)
-            else:
-                expr = "(to_s32(%s) >> %s) & 4294967295" % (A, S)
-            out.append("%sr[%d] = %s" % (ind, rd, expr))
-            return
-
-        if name in _MIPS_IMM:
-            rt, rs = f["rt"], f["rs"]
-            if not rt:
-                return
-            imm = f.get("imm16", f.get("uimm16", 0))
-            A = _reg(rs)
-            if name == "addiu":
-                expr = self.addr_expr(rs, imm)
-            elif name == "slti":
-                expr = "1 if to_s32(%s) < %d else 0" % (A, imm)
-            elif name == "sltiu":
-                expr = "1 if %s < %d else 0" % (A, imm & M32)
-            elif name == "andi":
-                expr = "%s & %d" % (A, imm)
-            elif name == "ori":
-                expr = A if imm == 0 else "%s | %d" % (A, imm)
-            else:  # xori
-                expr = "%s ^ %d" % (A, imm)
-            out.append("%sr[%d] = %s" % (ind, rt, expr))
-            return
-
-        if name == "lui":
-            if f["rt"]:
-                out.append("%sr[%d] = %d"
-                           % (ind, f["rt"], (f["uimm16"] << 16) & M32))
-            return
-
-        if name in ("mfhi", "mflo"):
-            if f["rd"]:
-                out.append("%sr[%d] = cpu.%s"
-                           % (ind, f["rd"],
-                              "hi" if name == "mfhi" else "lo"))
-            return
-
-        if name in ("mult", "multu"):
-            rs, rt = f["rs"], f["rt"]
-            p = self.tmp()
-            if name == "mult":
-                out.append("%s%s = to_s32(%s) * to_s32(%s)"
-                           % (ind, p, _reg(rs), _reg(rt)))
-            else:
-                out.append("%s%s = %s * %s" % (ind, p, _reg(rs), _reg(rt)))
-            out.append("%scpu.hi = (%s >> 32) & 4294967295" % (ind, p))
-            out.append("%scpu.lo = %s & 4294967295" % (ind, p))
-            return
-
-        if name in ("div", "divu"):
-            rs, rt = f["rs"], f["rt"]
-            A = _reg(rs)
-            b = self.tmp()
-            out.append("%s%s = %s" % (ind, b, _reg(rt)))
-            out.append("%sif %s == 0:" % (ind, b))
-            out.append("%s    raise SimulationError("
-                       "'division by zero at 0x%x')" % (ind, pc))
-            if name == "divu":
-                out.append("%scpu.lo = %s // %s" % (ind, A, b))
-                out.append("%scpu.hi = %s %% %s" % (ind, A, b))
-                return
-            sa, sb, q = self.tmp(), self.tmp(), self.tmp()
-            out.append("%s%s = to_s32(%s)" % (ind, sa, A))
-            out.append("%s%s = to_s32(%s)" % (ind, sb, b))
-            out.append("%s%s = abs(%s) // abs(%s)" % (ind, q, sa, sb))
-            out.append("%sif (%s < 0) != (%s < 0):" % (ind, sa, sb))
-            out.append("%s    %s = -%s" % (ind, q, q))
-            out.append("%scpu.lo = %s & 4294967295" % (ind, q))
-            out.append("%scpu.hi = (%s - %s * %s) & 4294967295"
-                       % (ind, sa, q, sb))
-            return
-
-        raise AssertionError("emittable() admitted %s" % name)
-
-    # -- control transfers ---------------------------------------------
-    def fuse_cti(self, ind, pc, inst, count):
-        name = inst.name
-        f = inst.f
-        if inst.category is Category.BRANCH:
-            decided = self._static_branch(inst)
-            if decided is False and inst.annul_untaken:
-                self.count(ind, pc, inst)
-                return count + 1, pc + 8
-            if decided is True:
-                slot = self.fusable_slot(pc)
-                if slot is None:
-                    return None
-                target = (pc + (f["imm16"] << 2) + 4) & M32
-                self.count(ind, pc, inst)
-                self.emit_slot(ind, pc + 4, slot, count + 1)
-                return count + 2, target
-            return None
-        if name in ("j", "jal"):
-            slot = self.fusable_slot(pc)
-            if slot is None:
-                return None
-            target = ((pc + 4) & 0xF0000000) | (f["target26"] << 2)
-            self.count(ind, pc, inst)
-            if name == "jal":
-                self.lines.append("%sr[31] = %d" % (ind, pc + 8))
-            self.emit_slot(ind, pc + 4, slot, count + 1)
-            return count + 2, target
-        return None
-
-    def emit_cti(self, ind, pc, inst, idx):
-        name = inst.name
-        f = inst.f
-        out = self.lines
-
-        if name == "syscall":
-            self.count(ind, pc, inst)
-            self.emit_trap(ind, pc, idx + 1, "r[2]", "r[4:8]", 2)
-            return True
-
-        if inst.category is Category.BRANCH:
-            annulled = inst.annul_untaken
-            target = (pc + (f["imm16"] << 2) + 4) & M32
-            decided = self._static_branch(inst)
-            if decided is False:  # annulled: plain case is a nop above
-                self.count(ind, pc, inst)
-                self.exit_const(ind, idx + 1, pc + 8)
-                return True
-            slot = self.fetch_slot(pc)
-            if slot is None:
-                return False
-            if decided is True:
-                self.count(ind, pc, inst)
-                self.emit_slot(ind, pc + 4, slot, idx + 1)
-                self.exit_const(ind, idx + 2, target)
-                return True
-            test = self._branch_test(inst)
-            if test is None:
-                return False
-            self.count(ind, pc, inst)
-            out.append("%sif %s:" % (ind, test))
-            snap = self.snapshot()
-            self.emit_slot(ind + "    ", pc + 4, slot, idx + 1)
-            self.exit_const(ind + "    ", idx + 2, target)
-            self.restore(snap)
-            if annulled:
-                self.exit_const(ind, idx + 1, pc + 8)
-            else:
-                self.emit_slot(ind, pc + 4, slot, idx + 1)
-                self.exit_const(ind, idx + 2, pc + 8)
-            return True
-
-        if name in ("j", "jal"):
-            slot = self.fetch_slot(pc)
-            if slot is None:
-                return False
-            target = ((pc + 4) & 0xF0000000) | (f["target26"] << 2)
-            self.count(ind, pc, inst)
-            if name == "jal":
-                out.append("%sr[31] = %d" % (ind, pc + 8))
-            self.emit_slot(ind, pc + 4, slot, idx + 1)
-            self.exit_const(ind, idx + 2, target)
-            return True
-
-        if name in ("jr", "jalr"):
-            slot = self.fetch_slot(pc)
-            if slot is None:
-                return False
-            self.count(ind, pc, inst)
-            t = self.tmp()
-            out.append("%s%s = %s" % (ind, t, _reg(f["rs"])))
-            out.append("%sif %s & 3:" % (ind, t))
-            out.append("%s    raise SimulationError("
-                       "'misaligned jump to 0x%%x' %% %s)" % (ind, t))
-            if name == "jalr" and f["rd"]:
-                out.append("%sr[%d] = %d" % (ind, f["rd"], pc + 8))
-            self.emit_slot(ind, pc + 4, slot, idx + 1)
-            self.exit_var(ind, idx + 2, t)
-            return True
-
-        return False
-
-
-# ----------------------------------------------------------------------
 # Dispatch loops
 # ----------------------------------------------------------------------
 
@@ -1202,8 +539,6 @@ class _BlockMixin(object):
     supplies register state and prepared-op semantics (the single-step
     fallback), this mixin supplies the block cache and its run loops.
     """
-
-    _EMITTER = None  # set by subclasses
 
     def __init__(self, simulator):
         super(_BlockMixin, self).__init__(simulator)
@@ -1252,14 +587,14 @@ class _BlockMixin(object):
         if self.text_version:
             # Text diverged from the image: compile privately, never
             # touch the shared memo.
-            return self._bind(self._EMITTER(self, mode, stops).compile(pc))
+            return self._bind(_Emitter(self, mode, stops).compile(pc))
         memo = self._memo
         # Callers may pass stop pcs as any set type; freeze for the key.
         key = (mode, None if stops is None else frozenset(stops),
                self._block_max_len, pc)
         code_entry = memo.get(key)
         if code_entry is None:
-            code_entry = self._EMITTER(self, mode, stops).compile(pc)
+            code_entry = _Emitter(self, mode, stops).compile(pc)
             memo[key] = code_entry
             if len(memo) > BLOCK_MEMO_CAP:
                 memo.pop(next(iter(memo)))
@@ -1473,8 +808,6 @@ class _BlockMixin(object):
 class BlockSparcCPU(_BlockMixin, SparcCPU):
     """SPARC with block compilation over the handwritten model."""
 
-    _EMITTER = _SparcEmitter
-
     def _store_addr_reader(self, inst):
         f = inst.f
         r = self.r
@@ -1488,8 +821,6 @@ class BlockSparcCPU(_BlockMixin, SparcCPU):
 
 class BlockMipsCPU(_BlockMixin, MipsCPU):
     """MIPS with block compilation over the handwritten model."""
-
-    _EMITTER = _MipsEmitter
 
     def _store_addr_reader(self, inst):
         f = inst.f

@@ -45,11 +45,10 @@ PREPARED_CACHE_CAP = 4096
 BLOCK_CACHE_CAP = 1024
 BLOCK_MAX_LEN = 48
 
-# Execution engines: "block" compiles basic blocks to specialized
-# Python (repro.sim.blocks), "handwritten" is the seed per-instruction
-# interpreter, "spawn" derives per-instruction semantics from the
-# machine description (no block compilation — see repro.spawn.executor).
-ENGINES = ("block", "handwritten", "spawn")
+# Execution engines: "block" compiles basic blocks to Python generated
+# from the spawn descriptions' RTL (repro.sim.blocks), "handwritten" is
+# the seed per-instruction interpreter and the independent oracle.
+ENGINES = ("block", "handwritten")
 DEFAULT_ENGINE = "block"
 
 
@@ -133,15 +132,7 @@ class Simulator:
         if engine is None:
             engine = default_engine()
         self.engine = engine
-        if engine == "spawn":
-            # Description-driven execution: semantics come from the spawn
-            # machine description instead of the handwritten CPU model.
-            # Per-instruction by design (the description has no block
-            # view); it still gets the shared dispatch-loop fixes.
-            from repro.spawn.executor import SpawnCPU
-
-            self.cpu = SpawnCPU(self)
-        elif engine == "block":
+        if engine == "block":
             from repro.sim.blocks import BlockMipsCPU, BlockSparcCPU
 
             if image.arch == "sparc":

@@ -3,7 +3,8 @@
 The paper's section 4: a concise description of instruction fields,
 encodings (pattern matrices), and register-transfer semantics, from
 which spawn derives the decode/encode/classify layer and even executable
-semantics ("C++ code to replicate the computation" — here, Python).
+semantics ("C++ code to replicate the computation" — here, the Python
+of the block engine's compiled blocks).
 
 Entry points:
 
@@ -13,9 +14,9 @@ Entry points:
   from the description (drop-in equivalent of the handwritten codec);
 * :func:`generate_source` — emit a standalone generated Python module
   (the artifact whose size the conciseness experiment measures);
-* :class:`~repro.spawn.executor.SpawnCPU` — execute programs directly
-  from description semantics (used for differential testing against the
-  handwritten simulator).
+* :class:`~repro.spawn.compiler.RTLCompiler` — compile description
+  semantics into Python statements; the block engine
+  (:mod:`repro.sim.blocks`) runs every compiled instruction through it.
 """
 
 import os

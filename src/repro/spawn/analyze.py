@@ -65,8 +65,13 @@ class Analyzer:
         return bits.extract(word, field.lo, field.hi)
 
     def analyze(self, inst_def, word):
+        return self.effects(inst_def.semantics, word)
+
+    def effects(self, stmt, word):
+        """Residual facts of *stmt*, the whole RTL of an instruction or
+        one of its transfers."""
         info = ResidualInfo()
-        self._walk_stmt(inst_def.semantics, word, info, conditional=False,
+        self._walk_stmt(stmt, word, info, conditional=False,
                         in_untaken=False)
         return info
 
@@ -309,21 +314,23 @@ class Analyzer:
         raise AnalysisError("cannot analyze statement %r" % stmt)
 
 
+_OPERATIONS = {
+    "+": lambda a, b: a + b,
+    "-": lambda a, b: a - b,
+    "*": lambda a, b: a * b,
+    "&": lambda a, b: a & b,
+    "|": lambda a, b: a | b,
+    "^": lambda a, b: a ^ b,
+    "<<": lambda a, b: a << b,
+    ">>": lambda a, b: (a & 0xFFFFFFFF) >> b,
+    "==": lambda a, b: 1 if a == b else 0,
+    "!=": lambda a, b: 1 if a != b else 0,
+    "<": lambda a, b: 1 if a < b else 0,
+    "<=": lambda a, b: 1 if a <= b else 0,
+    ">": lambda a, b: 1 if a > b else 0,
+    ">=": lambda a, b: 1 if a >= b else 0,
+}
+
+
 def _binop(op, left, right):
-    operations = {
-        "+": lambda a, b: a + b,
-        "-": lambda a, b: a - b,
-        "*": lambda a, b: a * b,
-        "&": lambda a, b: a & b,
-        "|": lambda a, b: a | b,
-        "^": lambda a, b: a ^ b,
-        "<<": lambda a, b: a << b,
-        ">>": lambda a, b: (a & 0xFFFFFFFF) >> b,
-        "==": lambda a, b: 1 if a == b else 0,
-        "!=": lambda a, b: 1 if a != b else 0,
-        "<": lambda a, b: 1 if a < b else 0,
-        "<=": lambda a, b: 1 if a <= b else 0,
-        ">": lambda a, b: 1 if a > b else 0,
-        ">=": lambda a, b: 1 if a >= b else 0,
-    }
-    return operations[op](left, right)
+    return _OPERATIONS[op](left, right)

@@ -4,7 +4,7 @@ A small expression/statement language in the spirit of the paper's
 Figure 7.  Expressions evaluate over an abstract machine state; the
 analyzer partially evaluates them against a concrete instruction word
 (all field values known) to derive reads/writes/categories, and the
-executor evaluates them fully to run programs.
+compiler residualizes them into the block engine's Python.
 """
 
 

@@ -20,7 +20,7 @@ from repro import obs
 from repro.asm import assemble
 from repro.binfmt import link
 from repro.fuzz.gen import plan_to_program
-from repro.sim import Simulator, run_image
+from repro.sim import Simulator, blocks, run_image
 from repro.sim.machine import ENGINES, SimulationTimeout, default_engine
 from repro.verify import corpus_names
 from repro.workloads import builder
@@ -48,6 +48,22 @@ def sparc_image(body):
         ta 0
     """ % body
     return link([assemble(source, "sparc")])
+
+
+def mips_image(body):
+    source = """
+        .text
+        .global _start
+    _start:
+    %s
+        move $a0, $s7
+        li $v0, 2
+        syscall
+        li $a0, 0
+        li $v0, 1
+        syscall
+    """ % body
+    return link([assemble(source, "mips")])
 
 
 def observe(image, engine, **kwargs):
@@ -89,6 +105,80 @@ def test_engine_equivalence_fuzz_reproducers():
         baseline = observe(image, "handwritten", max_steps=500_000)
         assert observe(image, "block", max_steps=500_000) == baseline, \
             "engines diverge on reproducer %s" % entry["id"]
+
+
+# Hand-built programs at the corners of the description's semantics:
+# a `,` transfer must read every source before any write (flags see the
+# old operand, a link register that is also the jump base is read
+# first), and a divide by zero names its pc.
+RTL_CORNERS = {
+    "addcc-carry": sparc_image("""
+        set -1, %o0
+        clr %l7
+        addcc %o0, 1, %o0
+        bcs done
+        nop
+        mov 5, %l7
+    done:
+    """),
+    "subcc-zero": sparc_image("""
+        mov 1, %o0
+        clr %l7
+        subcc %o0, 1, %o0
+        be done
+        nop
+        mov 7, %l7
+    done:
+    """),
+    "jmpl-link-is-base": sparc_image("""
+        set target, %o1
+        clr %l7
+        jmpl %o1, %o1
+        nop
+        mov 9, %l7
+    target:
+        add %l7, 3, %l7
+    """),
+    "udiv-by-zero": sparc_image("""
+        mov 5, %o0
+        udiv %o0, %g0, %o1
+    """),
+    "sdiv-by-zero": sparc_image("""
+        mov -5, %o0
+        sdiv %o0, %g0, %o1
+    """),
+    "mips-jalr-link-is-base": mips_image("""
+        la $t0, target
+        li $s7, 0
+        jalr $t0, $t0
+        nop
+        li $s7, 9
+    target:
+        addiu $s7, $s7, 3
+    """),
+    "mips-div-by-zero": mips_image("""
+        li $t0, -5
+        div $t0, $zero
+    """),
+    "mips-divu-by-zero": mips_image("""
+        li $t0, 5
+        divu $t0, $zero
+    """),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RTL_CORNERS))
+def test_rtl_corner_equivalence(name, monkeypatch):
+    # Compile on first visit, so straight-line code runs generated
+    # blocks rather than the single-step fallback.
+    monkeypatch.setattr(blocks, "WARM_THRESHOLD", 1)
+    image = RTL_CORNERS[name]
+    baseline = observe(image, "handwritten", max_steps=10_000)
+    assert observe(image, "block", max_steps=10_000) == baseline
+    if name.endswith("by-zero"):
+        assert baseline[0] == "raise" and " at 0x" in baseline[2]
+    else:
+        assert baseline[:2] == ("exit", "0" if "cc" in name else "3")
 
 
 # ----------------------------------------------------------------------

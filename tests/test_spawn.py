@@ -1,5 +1,9 @@
-"""spawn: description parsing, codec equivalence, executor, codegen."""
+"""spawn: description parsing, codec equivalence, execution, codegen."""
 
+import copy
+import glob
+import json
+import os
 import random
 
 import pytest
@@ -102,6 +106,85 @@ def test_spawn_decode_equivalent_to_handwritten(arch):
                 == hand.control_target(h, 0x1000), (name, hex(word))
 
 
+_DATA = 0x20000
+
+
+def _one_word_image(arch, word):
+    """*word* at the entry, nops behind it, and one data page."""
+    from repro.binfmt import layout
+    from repro.binfmt.image import SEC_EXEC, SEC_WRITE, Image, Section
+
+    image = Image(arch, entry=layout.TEXT_BASE)
+    text = image.add_section(Section(".text", layout.TEXT_BASE, SEC_EXEC))
+    for text_word in [word] + [get_codec(arch).nop_word] * 3:
+        text.append_word(text_word)
+    image.add_section(Section(".data", _DATA, SEC_WRITE, bytearray(64)))
+    return image
+
+
+def _random_state(arch, rng):
+    """Registers and special state drawn to hit corner values, the
+    data page (aligned or not) and small syscall numbers."""
+    pool = (0, 1, 2, 3, 5, 31, 32, 0x7FFFFFFF, 0x80000000, 0xFFFFFFFF,
+            0xFFFFFFFE, _DATA, _DATA + 4, _DATA + 2, _DATA + 1)
+    regs = [0] + [rng.choice(pool) if rng.random() < 0.7
+                  else rng.getrandbits(32) for _ in range(31)]
+    if arch == "sparc":
+        windows = [([rng.getrandbits(32) for _ in range(8)],
+                    [rng.getrandbits(32) for _ in range(8)])] \
+            if rng.random() < 0.7 else []
+        specials = {"icc": tuple(rng.getrandbits(1) for _ in range(4)),
+                    "y": rng.getrandbits(32), "windows": windows}
+    else:
+        specials = {"hi": rng.getrandbits(32), "lo": rng.getrandbits(32)}
+    return regs, specials
+
+
+def _run_word(arch, word, state, engine):
+    """Every observable of running *word* and its successor (a delay
+    slot, when it has one) from *state*."""
+    from repro.sim import Simulator, SimulationTimeout
+
+    simulator = Simulator(_one_word_image(arch, word), engine=engine,
+                          max_steps=2, block_max_len=1)
+    cpu = simulator.cpu
+    regs, specials = state
+    cpu.r[:] = regs
+    for name, value in specials.items():
+        setattr(cpu, name, copy.deepcopy(value))
+    try:
+        outcome = ("exit", simulator.run())
+    except SimulationTimeout:
+        outcome = ("ran",)
+    except Exception as exc:  # the message names the faulting pc
+        return ("raise", type(exc).__name__, str(exc))
+    pages = {number: bytes(page)
+             for number, page in simulator.memory._pages.items()}
+    return (outcome, cpu.pc, cpu.npc, cpu.r,
+            [getattr(cpu, name) for name in specials], simulator.output,
+            pages)
+
+
+@pytest.mark.parametrize("arch", ["sparc", "mips"])
+def test_generated_semantics_equivalent_to_handwritten(arch, monkeypatch):
+    """Every instruction of the description, at random words and
+    states, runs as code generated from its RTL (one-instruction
+    blocks, compiled on first visit) exactly as the handwritten model
+    runs it."""
+    from repro.sim import blocks
+
+    monkeypatch.setattr(blocks, "WARM_THRESHOLD", 1)
+    desc = load_description(arch)
+    rng = random.Random(3)
+    for name in desc.instructions:
+        for _ in range(30):
+            word = _random_word_for(desc, name, rng)
+            state = _random_state(arch, rng)
+            expected = _run_word(arch, word, state, "handwritten")
+            assert _run_word(arch, word, state, "block") == expected, \
+                (name, hex(word))
+
+
 @pytest.mark.parametrize("arch", ["sparc", "mips"])
 def test_spawn_encode_equivalent(arch):
     spawn_codec = build_codec(arch)
@@ -144,24 +227,66 @@ def test_spawn_with_control_target():
         spawn_codec.with_control_target(word, 0, 0x4000000)
 
 
-@pytest.mark.parametrize("name,builder", [
-    ("fib", "sparc"), ("interp", "sparc"), ("mips_fib", "mips"),
-])
-def test_spawn_executor_differential(name, builder):
-    """Programs run identically under description-derived semantics."""
-    from repro.sim import Simulator
+_FUZZ_CORPUS = os.path.join(os.path.dirname(__file__), os.pardir,
+                            "fuzz-corpus")
+_GENERATOR_SEEDS = range(20)
+
+
+def _differential_cases():
+    """(name, source) for every program the description must run: the
+    18 workloads, the fuzz reproducers and generated programs of both
+    architectures."""
+    from repro.verify import corpus_names
+    from repro.workloads import builder
+
+    cases = [(name, "mips" if name in builder.mips_program_names()
+              else "sparc") for name in corpus_names()]
+    for path in sorted(glob.glob(os.path.join(_FUZZ_CORPUS, "*.json"))):
+        cases.append((os.path.basename(path)[:-len(".json")], "reproducer"))
+    for arch in ("sparc", "mips"):
+        cases.extend(("seed%d" % seed, "gen-" + arch)
+                     for seed in _GENERATOR_SEEDS)
+    return cases
+
+
+def _differential_image(name, source):
+    from repro.fuzz.gen import GenConfig, generate, plan_to_program
     from repro.workloads import build_image, build_mips_image
 
-    image = build_image(name) if builder == "sparc" \
-        else build_mips_image(name)
-    handwritten = Simulator(image)
-    handwritten.run()
-    spawned = Simulator(image, engine="spawn")
-    spawned.run()
-    assert spawned.output == handwritten.output
-    assert spawned.exit_code == handwritten.exit_code
-    assert spawned.instructions_executed \
-        == handwritten.instructions_executed
+    if source == "sparc":
+        return build_image(name)
+    if source == "mips":
+        return build_mips_image(name)
+    if source == "reproducer":
+        with open(os.path.join(_FUZZ_CORPUS, name + ".json")) as handle:
+            return plan_to_program(json.load(handle)["plan"]).image
+    return generate(int(name[len("seed"):]),
+                    GenConfig(arch=source[len("gen-"):])).image
+
+
+def _observe(image, engine):
+    from repro.sim import run_image
+
+    try:
+        simulator = run_image(image, count_pcs=True, engine=engine,
+                              max_steps=2_000_000)
+    except Exception as exc:
+        return ("raise", type(exc).__name__, str(exc))
+    return ("exit", simulator.output, simulator.exit_code,
+            simulator.instructions_executed, simulator.pc_counts)
+
+
+@pytest.mark.parametrize("name,builder", _differential_cases())
+def test_spawn_executor_differential(name, builder, monkeypatch):
+    """Programs run identically when every compilable pc executes code
+    generated from the description (the block engine, compiling on
+    first visit) and under the handwritten model."""
+    from repro.sim import blocks
+
+    monkeypatch.setattr(blocks, "WARM_THRESHOLD", 1)
+    image = _differential_image(name, builder)
+    expected = _observe(image, "handwritten")
+    assert _observe(image, "block") == expected
 
 
 @pytest.mark.parametrize("arch", ["sparc", "mips"])
