@@ -14,6 +14,16 @@ from repro.workloads import build_image, expected_output
 
 WORKLOAD = "hanoi"
 
+# The exact E10 figures for hanoi: (text bytes, run instructions) of the
+# original, of an identity relayout, and of an edit with a counter on
+# every branch edge.  Layout and the simulator are deterministic, so any
+# change here is a change in what layout emits.
+EXPECTED = {
+    "original": (1168, 258059),
+    "identity": (1148, 258059),
+    "edited": (1548, 303109),
+}
+
 
 def _identity(image):
     exe = Executable(image).read_contents()
@@ -72,3 +82,11 @@ def test_delay_slot_refolding(benchmark):
         == baseline.instructions_executed
     assert _edited_text_size(identity) <= original_text * 1.1
     assert _edited_text_size(edited) > _edited_text_size(identity)
+    # And exactly the measured figures.
+    assert {
+        "original": (original_text, baseline.instructions_executed),
+        "identity": (_edited_text_size(identity),
+                     identity_run.instructions_executed),
+        "edited": (_edited_text_size(edited),
+                   edited_run.instructions_executed),
+    } == EXPECTED

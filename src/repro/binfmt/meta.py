@@ -166,32 +166,11 @@ def encode_meta(meta):
 # Decoding (strict: any structural problem raises MetaError)
 # ----------------------------------------------------------------------
 
-class _Reader:
-    def __init__(self, blob):
-        self.blob = blob
-        self.pos = 0
-
-    def take(self, count):
-        if self.pos + count > len(self.blob):
-            raise MetaError("truncated .eel.meta payload")
-        chunk = self.blob[self.pos:self.pos + count]
-        self.pos += count
-        return chunk
-
-    def u8(self):
-        return self.take(1)[0]
-
-    def u16(self):
-        return struct.unpack(">H", self.take(2))[0]
-
-    def u32(self):
-        return struct.unpack(">I", self.take(4))[0]
-
-    def string(self):
-        try:
-            return self.take(self.u16()).decode("utf-8")
-        except UnicodeDecodeError as error:
-            raise MetaError("undecodable string in .eel.meta: %s" % error)
+# Fixed-width runs of the layout, after the magic.
+_U16 = struct.Struct(">H")  # the version, a string length or a count
+_HEADER = struct.Struct(">II32sH")  # text vaddr, size, hash; nroutines
+_ROUTINE = struct.Struct(">IIBB")  # start, end, flags, nentries
+_TRUNCATED = "truncated .eel.meta payload"
 
 
 def decode_meta(blob):
@@ -199,41 +178,64 @@ def decode_meta(blob):
 
     Raises :class:`MetaError` — and only MetaError — on any malformed
     input: bad magic, unknown version, truncation, trailing garbage.
+    Fields are read in layout order with ``struct.unpack_from`` at
+    running offsets; a read past the end is a truncation.
     """
-    reader = _Reader(bytes(blob))
-    if reader.take(4) != MAGIC:
+    blob = bytes(blob)
+    try:
+        return _decode(blob)
+    except struct.error:
+        raise MetaError(_TRUNCATED) from None
+
+
+def _decode(blob):
+    if len(blob) < len(MAGIC):
+        raise MetaError(_TRUNCATED)
+    if blob[:len(MAGIC)] != MAGIC:
         raise MetaError("bad magic; not a repro.meta section")
-    version = reader.u16()
+    (version,) = _U16.unpack_from(blob, 4)
     if version != META_VERSION:
         raise MetaError("unsupported repro.meta version %d" % version)
-    text_vaddr = reader.u32()
-    text_size = reader.u32()
-    text_sha256 = reader.take(32)
+    text_vaddr, text_size, text_sha256, count = _HEADER.unpack_from(blob, 6)
+    pos = 6 + _HEADER.size
     routines = []
-    for _ in range(reader.u16()):
-        name = reader.string()
-        start = reader.u32()
-        end = reader.u32()
-        flags = reader.u8()
-        entries = tuple(reader.u32() for _ in range(reader.u8()))
+    for _ in range(count):
+        (length,) = _U16.unpack_from(blob, pos)
+        pos += 2
+        raw = blob[pos:pos + length]
+        if len(raw) != length:
+            raise MetaError(_TRUNCATED)
+        pos += length
+        try:
+            name = raw.decode("utf-8")
+        except UnicodeDecodeError as error:
+            raise MetaError("undecodable string in .eel.meta: %s" % error)
+        start, end, flags, nentries = _ROUTINE.unpack_from(blob, pos)
+        pos += _ROUTINE.size
+        entries = struct.unpack_from(">%dI" % nentries, blob, pos)
+        pos += 4 * nentries
         routines.append(MetaRoutine(name, start, end, entries,
                                     hidden=bool(flags & _ROUTINE_HIDDEN)))
-    tables = []
-    for _ in range(reader.u16()):
-        addr = reader.u32()
-        count = reader.u16()
-        flags = reader.u8()
-        tables.append(MetaDispatch(addr, count,
-                                   in_text=bool(flags & _TABLE_IN_TEXT)))
-    delay_ctis = tuple(reader.u32() for _ in range(reader.u16()))
-    islands = tuple((reader.u32(), reader.u32())
-                    for _ in range(reader.u16()))
-    if reader.pos != len(reader.blob):
+    (count,) = _U16.unpack_from(blob, pos)
+    fields = struct.unpack_from(">" + "IHB" * count, blob, pos + 2)
+    pos += 2 + 7 * count
+    tables = tuple(MetaDispatch(addr, slots,
+                                in_text=bool(flags & _TABLE_IN_TEXT))
+                   for addr, slots, flags
+                   in zip(fields[0::3], fields[1::3], fields[2::3]))
+    (count,) = _U16.unpack_from(blob, pos)
+    delay_ctis = struct.unpack_from(">%dI" % count, blob, pos + 2)
+    pos += 2 + 4 * count
+    (count,) = _U16.unpack_from(blob, pos)
+    bounds = struct.unpack_from(">%dI" % (2 * count), blob, pos + 2)
+    pos += 2 + 8 * count
+    if pos != len(blob):
         raise MetaError("%d trailing byte(s) after .eel.meta payload"
-                        % (len(reader.blob) - reader.pos))
+                        % (len(blob) - pos))
     return MetaTable(text_vaddr, text_size, text_sha256,
-                     routines=tuple(routines), tables=tuple(tables),
-                     delay_ctis=delay_ctis, islands=islands)
+                     routines=tuple(routines), tables=tables,
+                     delay_ctis=delay_ctis,
+                     islands=tuple(zip(bounds[0::2], bounds[1::2])))
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ import struct
 from repro.binfmt import layout as binlayout
 from repro.binfmt.image import Image
 from repro.binfmt.serialize import read_image, write_image
-from repro.core.instruction import instruction_for
+from repro.core.instruction import flyweights_for, instruction_for
 from repro.isa import get_codec, get_conventions
 from repro.obs import metrics as _metrics
 from repro.obs.trace import span as _span
@@ -71,25 +71,31 @@ class DecodedText(dict):
     """``{addr: Instruction}`` for every word of an image's ``.text``.
 
     The section is unpacked with one ``struct`` call and the flyweight
-    instruction of each distinct word is looked up once.  Subscripting
-    any other address decodes :meth:`Image.word_at` without caching it,
-    so an address not mapped to file bytes raises ``KeyError``.
+    instruction of each distinct word is looked up once; both are kept
+    (``words``, in address order from ``vaddr``, and ``flyweights``,
+    word -> instruction) for sweeps that classify every text word.
+    Subscripting any other address decodes :meth:`Image.word_at`
+    without caching it, so an address not mapped to file bytes raises
+    ``KeyError``.
     """
 
-    __slots__ = ("image", "codec")
+    __slots__ = ("image", "codec", "vaddr", "words", "flyweights")
 
     def __init__(self, image, codec):
         super().__init__()
         self.image = image
         self.codec = codec
+        self.vaddr = None
+        self.words = ()
+        self.flyweights = {}
         text = image.sections.get(".text")
         if text is not None:
-            words = struct.unpack_from(">%dI" % (len(text.data) // 4),
-                                       text.data)
-            flyweights = {word: instruction_for(codec, word)
-                          for word in set(words)}
+            self.vaddr = text.vaddr
+            self.words = struct.unpack_from(">%dI" % (len(text.data) // 4),
+                                            text.data)
+            self.flyweights = flyweights_for(codec, set(self.words))
             self.update(zip(range(text.vaddr, text.end, 4),
-                            map(flyweights.__getitem__, words)))
+                            map(self.flyweights.__getitem__, self.words)))
 
     def __missing__(self, addr):
         return instruction_for(self.codec, self.image.word_at(addr))

@@ -237,5 +237,18 @@ def instruction_for(codec, word, share=True):
     return instruction
 
 
+def flyweights_for(codec, words):
+    """``{word: instruction}`` for the distinct *words*: what
+    :func:`instruction_for` returns for each (and counts as one request
+    each), with the shared ones looked up in bulk."""
+    cache = _CACHES.setdefault(id(codec), {})
+    flyweights = {word: cache.get(word) for word in words}
+    missing = [word for word, inst in flyweights.items() if inst is None]
+    _STATS["requests"] += len(flyweights) - len(missing)
+    for word in missing:
+        flyweights[word] = instruction_for(codec, word)
+    return flyweights
+
+
 def clear_caches():
     _CACHES.clear()

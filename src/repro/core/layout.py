@@ -2,6 +2,8 @@
 
 ``lay_out_routine`` turns an edited CFG back into machine code:
 
+* each stretch of untouched straight-line words is copied as one byte
+  run, so emission work follows the edits, not the routine's length;
 * snippets receive registers (scavenged or spilled) and are placed;
 * unedited delay slots are re-folded into their control transfer;
 * edited branch edges are routed through out-of-line stubs;
@@ -18,6 +20,8 @@ patches dispatch tables, and installs trampolines at original entry
 points so unedited callers still reach edited code.
 """
 
+import struct
+
 from repro.binfmt import layout as binlayout
 from repro.binfmt.image import Image, SEC_EXEC, SEC_WRITE, Section, Symbol
 from repro.core.cfg import (
@@ -28,6 +32,7 @@ from repro.core.cfg import (
     EK_ESCAPE,
 )
 from repro.core.regalloc import allocate_snippet
+from repro.isa import bits
 from repro.isa.base import Category, SpanError
 from repro.obs import metrics as _metrics
 from repro.obs.trace import span as _span
@@ -41,6 +46,10 @@ _C_TABLE_PATCHES = _metrics.counter("layout.table_patches")
 _C_TRAMPOLINES = _metrics.counter("layout.trampolines")
 _C_LONG_BRANCHES = _metrics.counter("layout.long_branches")
 _C_BYTES = _metrics.counter("layout.edited_bytes")
+# Emission work: items emitted (labels included), and original words
+# emitted inside runs rather than as items of their own.
+_C_ITEMS = _metrics.counter("layout.items")
+_C_RUN_WORDS = _metrics.counter("layout.run_words")
 
 # Long-branch relaxation never needs more passes than there are jump
 # items (each pass either converges or promotes at least one more jump
@@ -54,13 +63,20 @@ class LayoutError(Exception):
 
 
 class Item:
-    """One unit of the edited routine's emission stream."""
+    """One unit of the edited routine's emission stream.
+
+    A ``run`` item is a maximal stretch of untouched original words:
+    *data* holds their bytes as copied from ``.text`` and *orig_addr*
+    the address of the first.  Every other kind is at most one
+    synthesized or rewritten word (or a snippet, or a jump stub).
+    """
 
     __slots__ = ("kind", "word", "label", "target", "orig_addr", "snippet",
-                 "role", "orig_target", "long")
+                 "role", "orig_target", "long", "data")
 
     def __init__(self, kind, word=None, label=None, target=None,
-                 orig_addr=None, snippet=None, role=None, orig_target=None):
+                 orig_addr=None, snippet=None, role=None, orig_target=None,
+                 data=None):
         self.kind = kind
         self.word = word
         self.label = label  # for kind "label"
@@ -69,6 +85,7 @@ class Item:
         self.snippet = snippet
         self.role = role
         self.orig_target = orig_target
+        self.data = data  # for kind "run"
         # Set by the finalizer's relaxation pass when a jump/jumpxfer
         # target is out of direct-jump span: emit the multi-word
         # long-branch stub instead (sethi/jmpl on SPARC, lui/ori/jr on
@@ -76,11 +93,14 @@ class Item:
         self.long = False
 
     def size(self, arch):
-        if self.kind == "label":
+        kind = self.kind
+        if kind == "run":
+            return len(self.data)
+        if kind == "label":
             return 0
-        if self.kind == "snippet":
+        if kind == "snippet":
             return 4 * len(self.snippet.words)
-        if self.kind in ("jump", "jumpxfer"):
+        if kind in ("jump", "jumpxfer"):
             if self.long:
                 return 12 if arch == "sparc" else 16
             return 4 if arch == "sparc" else 8
@@ -113,10 +133,12 @@ class _RoutineLayout:
         self.codec = cfg.codec
         self.arch = cfg.codec.arch
         self.conventions = cfg.routine.executable.conventions
+        self.text = cfg.routine.executable.image.sections[".text"]
         self.result = EditedRoutine(cfg.routine)
         self.items = self.result.items
         self.stubs = []
         self._stub_counter = 0
+        self._run_words = 0
         self._liveness = None
         self._alloc_cache = {}
         # Literal-jump patch roles: orig site addr -> (role, literal).
@@ -191,6 +213,8 @@ class _RoutineLayout:
         _C_STUBS.inc(self._stub_counter)
         _C_BYTES.inc(self.result.size)
         _C_TABLE_PATCHES.inc(len(self.result.table_patches))
+        _C_ITEMS.inc(len(self.items))
+        _C_RUN_WORDS.inc(self._run_words)
         return self.result
 
     def _emit_block(self, block, next_start):
@@ -198,30 +222,69 @@ class _RoutineLayout:
         # points at the start of the block's emission, *including* any
         # snippets placed before its first instruction.
         self.emit_label(_label_for(block.start), orig_addr=block.start)
-        count = len(block.instructions)
-        for index in range(count):
-            addr, instruction = block.instructions[index]
-            before = block.before.get(index)
-            if before:
-                self.emit_snips(before, self.liveness.live_before(block,
-                                                                  index))
-            is_terminator = (instruction.is_control
-                             and instruction.category is not Category.SYSTEM
-                             and index == count - 1)
-            if is_terminator:
+        instructions = block.instructions
+        count = len(instructions)
+        last = instructions[-1][1]
+        terminator = count - 1 if (last.is_control and last.category
+                                   is not Category.SYSTEM) else None
+        # Untouched words between the indices that need an item of their
+        # own become runs, so the work here follows the edits, not the
+        # block's length.
+        before, after, deleted = block.before, block.after, block.deleted
+        stops = set(deleted)
+        if before:
+            stops.update(index for index, snips in before.items() if snips)
+        if after:
+            stops.update(index for index, snips in after.items() if snips)
+        if self.patch_roles:
+            stops.update((addr - block.start) >> 2
+                         for addr in self.patch_roles)
+        if terminator is not None:
+            stops.add(terminator)
+        start = 0  # first index of the pending run
+        for index in sorted(stops):
+            if not 0 <= index < count:
+                continue  # a patch site of another block, or no word
+            addr, instruction = instructions[index]
+            snips = before.get(index)
+            if snips:
+                self._emit_run(instructions, start, index)
+                start = index
+                self.emit_snips(snips, self.liveness.live_before(block,
+                                                                 index))
+            if index == terminator:
+                self._emit_run(instructions, start, index)
                 self._emit_terminator(block, addr, instruction, next_start)
                 return
-            if index not in block.deleted:
-                self._emit_instruction(addr, instruction)
-            after = block.after.get(index)
-            if after:
-                self.emit_snips(after, self.liveness.live_after(block, index))
+            if index in deleted or addr in self.patch_roles:
+                self._emit_run(instructions, start, index)
+                start = index + 1
+                if index not in deleted:
+                    self._emit_instruction(addr, instruction)
+            snips = after.get(index)
+            if snips:
+                self._emit_run(instructions, start, index + 1)
+                start = index + 1
+                self.emit_snips(snips, self.liveness.live_after(block,
+                                                                index))
+        self._emit_run(instructions, start, count)
         # Block without a terminator: glue to its successor.
         edge = block.succ[0] if block.succ else None
         if edge is not None:
             self.emit_snips(edge.snippets,
                             self.liveness.live_on_edge(edge))
             self.emit_goto(self._edge_target(edge), next_start)
+
+    def _emit_run(self, instructions, lo, hi):
+        """One run item for the untouched words *lo*..*hi*-1 of a block
+        (normal blocks are address-contiguous)."""
+        if lo >= hi:
+            return
+        self._run_words += hi - lo
+        offset = instructions[lo][0] - self.text.vaddr
+        self.emit(Item("run", orig_addr=instructions[lo][0],
+                       data=bytes(self.text.data[offset:offset
+                                                 + 4 * (hi - lo)])))
 
     def _emit_instruction(self, addr, instruction, into=None):
         patch = self.patch_roles.get(addr)
@@ -561,6 +624,7 @@ class _ImageFinalizer:
         self.addr_map = {}  # original addr -> edited addr
         self._label_map = {}  # block-start mappings (take priority)
         self._jump_sites = []  # (item, placed addr) for short jumps
+        self._placed = []  # (orig addr, placed addr, bytes) per item
 
     def run(self):
         executable = self.executable
@@ -569,18 +633,18 @@ class _ImageFinalizer:
             # long-branch stubs until placement reaches a fixpoint.
             self._place_all(executable)
         with _span("layout.materialize"):
-            # Phase B: materialize words.
+            # Phase B: materialize the new text's bytes.
             words = []
             for name, base, added_words in executable._added_routines:
                 words.extend(added_words)
             pad = (self.edited[0].edited.base
                    - executable._new_text_base) // 4 if self.edited else 0
-            while len(words) < pad:
-                words.append(self.codec.nop_word)
+            words.extend([self.codec.nop_word] * (pad - len(words)))
+            text = bytearray(_pack_words(words))
             for routine in self.edited:
-                words.extend(self._materialize(routine.edited))
-        with _span("layout.build_image", words=len(words)):
-            image = self._build_image(words)
+                self._materialize(routine.edited, text)
+        with _span("layout.build_image", words=len(text) // 4):
+            image = self._build_image(text)
         return FinalizedImage(image, self.addr_map)
 
     # ------------------------------------------------------------------
@@ -597,35 +661,57 @@ class _ImageFinalizer:
         """
         for _ in range(_MAX_RELAX_PASSES):
             self.labels = {}
-            self.addr_map = {}
             self._label_map = {}
             self._jump_sites = []
+            self._placed = []
             cursor = binlayout.align_up(executable._added_cursor, 4)
             for routine in self.edited:
                 routine.edited.base = cursor
                 cursor = self._place(routine.edited, cursor)
-            self.addr_map.update(self._label_map)
+            self._build_addr_map()
             if not self._relax_jumps():
                 return
         raise LayoutError("long-branch relaxation did not converge after "
                           "%d passes" % _MAX_RELAX_PASSES)
 
     def _place(self, edited, cursor):
+        arch = self.arch
+        placed = self._placed
         for item in edited.items:
-            if item.kind == "label":
+            kind = item.kind
+            if kind == "label":
                 self.labels[item.label] = cursor
                 if item.orig_addr is not None:
                     # Block-start mapping: points before any snippets and
                     # overrides duplicated delay-word item mappings.
                     self._label_map.setdefault(item.orig_addr, cursor)
-            else:
-                if item.orig_addr is not None \
-                        and item.orig_addr not in self.addr_map:
-                    self.addr_map[item.orig_addr] = cursor
-                if not item.long and item.kind in ("jump", "jumpxfer"):
-                    self._jump_sites.append((item, cursor))
-                cursor += item.size(self.arch)
+                continue
+            size = item.size(arch)
+            if item.orig_addr is not None:
+                # A run maps each of its words; any other item its one.
+                placed.append((item.orig_addr, cursor,
+                               size if kind == "run" else 4))
+            if not item.long and kind in ("jump", "jumpxfer"):
+                self._jump_sites.append((item, cursor))
+            cursor += size
         return cursor
+
+    def _build_addr_map(self):
+        """Original -> edited address of every placed original word.
+
+        A word placed twice (a delay instruction copied onto both paths)
+        maps to its first copy, so the map is filled last copy first;
+        block labels override both.
+        """
+        addr_map = {}
+        for orig, placed, size in reversed(self._placed):
+            if size == 4:
+                addr_map[orig] = placed
+            else:
+                addr_map.update(zip(range(orig, orig + size, 4),
+                                    range(placed, placed + size, 4)))
+        addr_map.update(self._label_map)
+        self.addr_map = addr_map
 
     def _relax_jumps(self):
         """Promote out-of-span short jumps to long form; returns count."""
@@ -665,22 +751,32 @@ class _ImageFinalizer:
         """Edited address of an original address, or itself if unedited."""
         return self.addr_map.get(orig_addr, orig_addr)
 
-    def _materialize(self, edited):
+    def _materialize(self, edited, text):
+        """Append *edited*'s bytes to *text*: each run's as they are,
+        the words between runs packed together."""
+        arch = self.arch
         words = []
         cursor = edited.base
         for item in edited.items:
-            if item.kind == "label":
-                continue
-            size = item.size(self.arch)
-            words.extend(self._item_words(item, cursor))
-            cursor += size
-        return words
+            kind = item.kind
+            if kind == "run":
+                if words:
+                    text += _pack_words(words)
+                    words = []
+                text += item.data
+                cursor += len(item.data)
+            elif kind == "word":
+                words.append(item.word)
+                cursor += 4
+            elif kind != "label":
+                words.extend(self._item_words(item, cursor))
+                cursor += item.size(arch)
+        if words:
+            text += _pack_words(words)
 
     def _item_words(self, item, addr):
         codec = self.codec
         conventions = self.conventions
-        if item.kind == "word":
-            return [item.word]
         if item.kind == "snippet":
             return item.snippet.run_callback(addr)
         if item.kind == "branch":
@@ -728,7 +824,7 @@ class _ImageFinalizer:
         return words
 
     # ------------------------------------------------------------------
-    def _build_image(self, new_text_words):
+    def _build_image(self, new_text):
         executable = self.executable
         source = executable.image
         image = Image(source.arch, kind="exec", entry=source.entry)
@@ -744,13 +840,12 @@ class _ImageFinalizer:
             for s in source.symbols
         ]
 
-        if new_text_words:
-            new_text = Section(".text.edited",
-                               vaddr=executable._new_text_base,
-                               flags=SEC_EXEC)
-            for word in new_text_words:
-                new_text.append_word(word)
-            image.add_section(new_text)
+        if new_text:
+            section = Section(".text.edited",
+                              vaddr=executable._new_text_base,
+                              flags=SEC_EXEC)
+            section.data = new_text
+            image.add_section(section)
 
         for name, base, size, initial in executable._data_sections:
             data_section = Section(name, vaddr=base, flags=SEC_WRITE)
@@ -847,10 +942,14 @@ class _ImageFinalizer:
                 symbol.section = ".text.edited"
 
 
+def _pack_words(words):
+    """Big-endian bytes of 32-bit *words* (truncated to 32 bits)."""
+    return struct.pack(">%dI" % len(words),
+                       *[word & bits.WORD_MASK for word in words])
+
+
 def _apply_patch_role(codec, word, role, target):
     """Re-point a literal-address-forming instruction at *target*."""
-    from repro.isa import bits
-
     if role == "hi22":
         return bits.insert(word, 0, 21, target >> 10)
     if role == "lo10":

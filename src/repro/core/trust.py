@@ -30,7 +30,7 @@ Any failed check rejects the table with a typed reason (counted in
 full refinement — the fast path may change speed, never results.
 """
 
-import struct
+import itertools
 
 from repro.binfmt.image import SEC_NOBITS
 from repro.binfmt.meta import (
@@ -42,7 +42,6 @@ from repro.binfmt.meta import (
     extract_meta,
     has_meta,
 )
-from repro.core.instruction import instruction_for
 from repro.env import env_choice
 from repro.isa.base import Category
 from repro.obs import metrics as _metrics
@@ -57,6 +56,10 @@ _C_TRUSTED = _metrics.counter("meta.trusted")
 _C_REJECTS = _metrics.counter("meta.rejects")
 _C_REASON = {reason: _metrics.counter("meta.reject." + reason)
              for reason in REJECT_REASONS}
+
+# Every control-transfer category (none is INVALID), as a tuple: its
+# membership test compares identities instead of hashing enum members.
+_CONTROL_CATEGORIES = tuple(c for c in Category if c.is_control)
 
 # How many slots of one dispatch table the probe pass decodes.
 _TABLE_PROBES = 16
@@ -84,6 +87,7 @@ class _Claims:
 
     def __init__(self, executable, meta):
         self.text = executable.image.sections.get(".text")
+        self.text_end = self.text.end
         self.meta = meta
         self.extents = [(r.start, r.end) for r in meta.routines]
         self.entries = sorted(e for r in meta.routines for e in r.entries)
@@ -97,7 +101,7 @@ class _Claims:
                 self.data_words.update(range(table.addr, table.end, 4))
 
     def in_text(self, addr):
-        return self.text.contains(addr)
+        return self.text.vaddr <= addr < self.text_end
 
 
 def verify_meta(executable, meta):
@@ -275,43 +279,34 @@ def scan_delay_ctis(executable, extents, data_words=()):
     complete rather than merely plausible.
 
     The sweep is the dominant cost of the whole trust path, so it
-    unpacks each extent's words in one struct call and memoizes the
-    per-encoding verdicts instead of taking the image word_at /
-    flyweight-property path for every address.
+    reuses the decoded text table's unpacked words and flyweights: each
+    distinct encoding is classified once, one pass over the words finds
+    the delayed transfers, and only the rare ones followed by another
+    control transfer are checked against the extents and data words.
     """
-    codec = executable.codec
-    text = executable.image.sections.get(".text")
+    table = executable.text_table()
+    words = table.words
+    delayed = set()  # valid delayed control transfers
+    in_slot = set()  # non-system control transfers
+    for word, inst in table.flyweights.items():
+        category = inst.category
+        if category in _CONTROL_CATEGORIES:
+            if inst.is_delayed:
+                delayed.add(word)
+            if category is not Category.SYSTEM:
+                in_slot.add(word)
     skip = set(data_words)
     found = set()
-    delayed = {}  # encoding -> is a valid delayed control transfer
-    in_slot = {}  # encoding -> is a non-system control transfer
-    for start, end in extents:
-        words = struct.unpack_from(">%dI" % ((end - start) // 4),
-                                   text.data, start - text.vaddr)
-        for index, word in enumerate(words):
-            verdict = delayed.get(word)
-            if verdict is None:
-                inst = instruction_for(codec, word)
-                verdict = bool(inst.is_valid and inst.is_control
-                               and inst.is_delayed)
-                delayed[word] = verdict
-            if not verdict:
-                continue
-            addr = start + 4 * index
-            if addr in skip:
-                continue
-            slot = addr + 4
-            if slot >= end or slot in skip:
-                continue
-            slot_word = words[index + 1]
-            verdict = in_slot.get(slot_word)
-            if verdict is None:
-                inst = instruction_for(codec, slot_word)
-                verdict = bool(inst.is_valid and inst.is_control
-                               and inst.category is not Category.SYSTEM)
-                in_slot[slot_word] = verdict
-            if verdict:
-                found.add(slot)
+    for index in itertools.compress(range(len(words) - 1),
+                                    map(delayed.__contains__, words)):
+        if words[index + 1] not in in_slot:
+            continue
+        addr = table.vaddr + 4 * index
+        slot = addr + 4
+        if addr in skip or slot in skip:
+            continue
+        if any(start <= addr and slot < end for start, end in extents):
+            found.add(slot)
     return found
 
 

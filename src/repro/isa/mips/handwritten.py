@@ -110,6 +110,69 @@ BRANCH_INVERSES = {
 NOP_WORD = 0x00000000  # sll $zero, $zero, 0
 
 
+# ----------------------------------------------------------------------
+# Encoding table: mnemonic -> (format encoder, fixed opcode bits).  Each
+# format encoder ORs the instruction's fields into the fixed bits with a
+# shift and a mask; register fields and unchecked immediates truncate to
+# their width, checked immediates raise SpanError.
+# ----------------------------------------------------------------------
+
+def _encode_rtype(fixed, fields):
+    return (fixed | (fields.get("rd", 0) & 0x1F) << 11
+            | (fields.get("rs", 0) & 0x1F) << 21
+            | (fields.get("rt", 0) & 0x1F) << 16
+            | (fields.get("shamt", 0) & 0x1F) << 6)
+
+
+def _encode_syscall(fixed, fields):
+    # The 20-bit code field covers rs, rt, rd and shamt.
+    return fixed | (fields.get("code", 0) & 0xFFFFF) << 6
+
+
+def _encode_jalr(fixed, fields):
+    # rd defaults to the return-address register.
+    word = _encode_rtype(fixed, fields)
+    return word if "rd" in fields else word | REG_RA << 11
+
+
+def _encode_regimm(fixed, fields):
+    word = fixed | (fields.get("rs", 0) & 0x1F) << 21
+    imm16 = fields["imm16"]
+    if not -0x8000 <= imm16 <= 0x7FFF:
+        raise SpanError("branch displacement out of range")
+    return word | (imm16 & 0xFFFF)
+
+
+def _encode_jtype(fixed, fields):
+    return fixed | (fields["target26"] & 0x3FFFFFF)
+
+
+def _encode_itype(fixed, fields):
+    word = (fixed | (fields.get("rs", 0) & 0x1F) << 21
+            | (fields.get("rt", 0) & 0x1F) << 16)
+    if "uimm16" in fields:
+        uimm16 = fields["uimm16"]
+        if not 0 <= uimm16 < 0x10000:
+            raise SpanError("unsigned immediate out of range")
+        return word | uimm16
+    imm16 = fields.get("imm16", 0)
+    if not -0x8000 <= imm16 <= 0x7FFF:
+        raise SpanError("immediate %d out of range" % imm16)
+    return word | (imm16 & 0xFFFF)
+
+
+_R_FORMS = {"syscall": _encode_syscall, "jalr": _encode_jalr}
+_ENCODINGS = {"j": (_encode_jtype, OP_J << 26),
+              "jal": (_encode_jtype, OP_JAL << 26)}
+for _name, (_funct, _kind) in R_TYPE.items():
+    _ENCODINGS[_name] = (_R_FORMS.get(_kind, _encode_rtype), _funct)
+for _name, _rt in REGIMM.items():
+    _ENCODINGS[_name] = (_encode_regimm, OP_REGIMM << 26 | _rt << 16)
+for _name, (_opcode, _kind) in I_TYPE.items():
+    _ENCODINGS[_name] = (_encode_itype, _opcode << 26)
+del _name, _funct, _kind, _rt, _opcode
+
+
 def _fields_tuple(**kwargs):
     return tuple(sorted(kwargs.items()))
 
@@ -325,49 +388,11 @@ class MipsCodec(MachineCodec):
 
     # ------------------------------------------------------------------
     def encode(self, name, **fields):
-        if name in R_TYPE:
-            return self._encode_rtype(name, fields)
-        if name in REGIMM:
-            word = bits.insert(0, 26, 31, OP_REGIMM)
-            word = bits.insert(word, 16, 20, REGIMM[name])
-            word = bits.insert(word, 21, 25, fields.get("rs", 0))
-            imm16 = fields["imm16"]
-            if not bits.fits_signed(imm16, 16):
-                raise SpanError("branch displacement out of range")
-            return bits.insert(word, 0, 15, imm16)
-        if name in ("j", "jal"):
-            word = bits.insert(0, 26, 31, OP_J if name == "j" else OP_JAL)
-            return bits.insert(word, 0, 25, fields["target26"])
-        if name in I_TYPE:
-            return self._encode_itype(name, fields)
-        raise ValueError("cannot encode unknown instruction %r" % name)
-
-    def _encode_rtype(self, name, fields):
-        funct, kind = R_TYPE[name]
-        word = bits.insert(0, 0, 5, funct)
-        word = bits.insert(word, 11, 15, fields.get("rd", 0))
-        word = bits.insert(word, 21, 25, fields.get("rs", 0))
-        word = bits.insert(word, 16, 20, fields.get("rt", 0))
-        word = bits.insert(word, 6, 10, fields.get("shamt", 0))
-        if kind == "syscall":
-            word = bits.insert(word, 6, 25, fields.get("code", 0))
-        if kind == "jalr" and "rd" not in fields:
-            word = bits.insert(word, 11, 15, REG_RA)
-        return word
-
-    def _encode_itype(self, name, fields):
-        opcode, kind = I_TYPE[name]
-        word = bits.insert(0, 26, 31, opcode)
-        word = bits.insert(word, 21, 25, fields.get("rs", 0))
-        word = bits.insert(word, 16, 20, fields.get("rt", 0))
-        if "uimm16" in fields:
-            if not bits.fits_unsigned(fields["uimm16"], 16):
-                raise SpanError("unsigned immediate out of range")
-            return bits.insert(word, 0, 15, fields["uimm16"])
-        imm16 = fields.get("imm16", 0)
-        if not bits.fits_signed(imm16, 16):
-            raise SpanError("immediate %d out of range" % imm16)
-        return bits.insert(word, 0, 15, imm16)
+        entry = _ENCODINGS.get(name)
+        if entry is None:
+            raise ValueError("cannot encode unknown instruction %r" % name)
+        form, fixed = entry
+        return form(fixed, fields)
 
     # ------------------------------------------------------------------
     def control_target(self, inst, pc):
@@ -382,13 +407,13 @@ class MipsCodec(MachineCodec):
         inst = self.decode(word)
         if inst.category is Category.BRANCH:
             offset = bits.to_s32(target - pc - 4)
-            if offset & 3 or not bits.fits_signed(offset >> 2, 16):
+            if offset & 3 or not -0x8000 <= offset >> 2 <= 0x7FFF:
                 raise SpanError("branch displacement out of span")
-            return bits.insert(word, 0, 15, offset >> 2)
+            return word & 0xFFFF0000 | (offset >> 2) & 0xFFFF
         if inst.name in ("j", "jal"):
             if (target & 0xF0000000) != ((pc + 4) & 0xF0000000):
                 raise SpanError("jump target outside 256MB region")
-            return bits.insert(word, 0, 25, (target & 0x0FFFFFFF) >> 2)
+            return word & 0xFC000000 | (target & 0x0FFFFFFF) >> 2
         raise ValueError("instruction %s has no direct target" % inst.name)
 
     def invert_branch(self, word):

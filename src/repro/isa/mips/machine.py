@@ -3,12 +3,16 @@
 from repro.isa import bits
 from repro.isa.base import MachineConventions, SpanError
 from repro.isa.mips.handwritten import (
+    I_TYPE,
     MipsCodec,
+    OP_REGIMM,
+    REGIMM_BY_RT,
     REG_AT,
     REG_RA,
     REG_SP,
     REG_V0,
     REG_ZERO,
+    R_TYPE,
 )
 
 SPILL_BASE_OFFSET = -64
@@ -104,18 +108,71 @@ class MipsConventions(MachineConventions):
 
     # ------------------------------------------------------------------
     def rebind_registers(self, words, mapping):
+        """Rewrite the rs/rt/rd fields of snippet *words* per *mapping*.
+
+        A rewritten word keeps only the bits its decoded fields cover,
+        as if re-encoded from them (see :data:`_REBIND_R`).
+        """
         if not mapping:
             return list(words)
         out = []
         for word in words:
-            inst = self.codec.decode(word)
-            fields = dict(inst.fields)
-            changed = False
-            for field_name in ("rs", "rt", "rd"):
-                if field_name in fields and fields[field_name] in mapping:
-                    fields[field_name] = mapping[fields[field_name]]
-                    changed = True
-            if changed:
-                word = self.codec.encode(inst.name, **fields)
+            opcode = word >> 26 & 0x3F
+            if opcode == 0:
+                spec = _REBIND_R.get(word & 0x3F)
+            elif opcode == OP_REGIMM:
+                spec = _REBIND_REGIMM \
+                    if (word >> 16 & 0x1F) in REGIMM_BY_RT else None
+            else:
+                spec = _REBIND_I.get(opcode)
+            if spec is not None:
+                shifts, keep = spec
+                rebound = word
+                changed = False
+                for shift in shifts:
+                    reg = word >> shift & 0x1F
+                    if reg in mapping:
+                        rebound = (rebound & ~(0x1F << shift)
+                                   | (mapping[reg] & 0x1F) << shift)
+                        changed = True
+                if changed:
+                    word = rebound & keep
             out.append(word)
         return out
+
+
+# Register-field rebinding: (shifts of the rs/rt/rd fields the decoder
+# reports, mask of the bits an encode from the decoded fields keeps).
+_RS, _RT, _RD, _SHAMT = 21, 16, 11, 6
+
+
+def _keep(*dropped):
+    mask = 0xFFFFFFFF
+    for shift in dropped:
+        mask ^= 0x1F << shift
+    return mask
+
+
+_R_KINDS = {
+    "shift": ((_RT, _RD), _keep(_RS)),
+    "reg3": ((_RS, _RT, _RD), _keep(_SHAMT)),
+    "reg3v": ((_RS, _RT, _RD), _keep(_SHAMT)),
+    "jr": ((_RS,), _keep(_RT, _RD, _SHAMT)),
+    "jalr": ((_RS, _RD), _keep(_RT, _SHAMT)),
+    "mfhi": ((_RD,), _keep(_RS, _RT, _SHAMT)),
+    "mflo": ((_RD,), _keep(_RS, _RT, _SHAMT)),
+    "multdiv": ((_RS, _RT), _keep(_RD, _SHAMT)),
+}
+_I_KINDS = {
+    "branch2": ((_RS, _RT), _keep()),
+    "branch1": ((_RS,), _keep(_RT)),
+    "imm": ((_RS, _RT), _keep()),
+    "immu": ((_RS, _RT), _keep()),
+    "lui": ((_RT,), _keep(_RS)),
+    "load": ((_RS, _RT), _keep()),
+    "store": ((_RS, _RT), _keep()),
+}
+_REBIND_R = {funct: _R_KINDS[kind] for funct, kind in R_TYPE.values()
+             if kind in _R_KINDS}
+_REBIND_I = {opcode: _I_KINDS[kind] for opcode, kind in I_TYPE.values()}
+_REBIND_REGIMM = ((_RS,), _keep())

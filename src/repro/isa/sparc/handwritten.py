@@ -88,17 +88,82 @@ TRAP_ALWAYS_COND = 8  # "ta"
 NOP_WORD = 0x01000000  # sethi 0, %g0
 
 
-def _branch_cond_of(name):
-    """Condition mnemonic of a branch instruction name, or None.
+# ----------------------------------------------------------------------
+# Encoding table: mnemonic -> (format encoder, fixed opcode bits).  Each
+# format encoder ORs the instruction's fields into the fixed bits with a
+# shift and a mask; register fields and unchecked immediates truncate to
+# their width, checked displacements and immediates raise SpanError.
+# ----------------------------------------------------------------------
 
-    Accepts names like ``bne``, ``ba,a``; rejects non-branch mnemonics.
-    """
-    if not name.startswith("b"):
-        return None
-    base = name[1:]
-    if base.endswith(",a"):
-        base = base[:-2]
-    return base if base in COND_NUMBER else None
+def _encode_call(fixed, fields):
+    disp30 = fields["disp30"]
+    if not -0x20000000 <= disp30 <= 0x1FFFFFFF:
+        raise SpanError("call displacement %d out of range" % disp30)
+    return fixed | (disp30 & 0x3FFFFFFF)
+
+
+def _encode_sethi(fixed, fields):
+    return (fixed | (fields["rd"] & 0x1F) << 25
+            | (fields["imm22"] & 0x3FFFFF))
+
+
+def _encode_branch(fixed, fields):
+    disp22 = fields["disp22"]
+    if not -0x200000 <= disp22 <= 0x1FFFFF:
+        raise SpanError("branch displacement %d out of range" % disp22)
+    # The mnemonic's annul bit is in *fixed*; an explicit aflag wins.
+    if "aflag" in fields:
+        fixed = fixed & ~0x20000000 | (fields["aflag"] & 1) << 29
+    return fixed | (disp22 & 0x3FFFFF)
+
+
+def _encode_format3(fixed, fields):
+    word = (fixed | (fields.get("rd", 0) & 0x1F) << 25
+            | (fields.get("rs1", 0) & 0x1F) << 14)
+    if "simm13" in fields:
+        simm13 = fields["simm13"]
+        if not -0x1000 <= simm13 <= 0xFFF:
+            raise SpanError("simm13 value %d out of range" % simm13)
+        return word | 0x2000 | (simm13 & 0x1FFF)
+    return word | (fields.get("rs2", 0) & 0x1F)
+
+
+def _encode_rdpsr(fixed, fields):
+    return fixed | (fields["rd"] & 0x1F) << 25
+
+
+def _encode_wrpsr(fixed, fields):
+    return fixed | (fields["rs1"] & 0x1F) << 14
+
+
+def _encode_trap(fixed, fields):
+    return fixed | (fields.get("trap_num", 0) & 0x7F)
+
+
+def _format3_fixed(op, op3):
+    return op << 30 | op3 << 19
+
+
+_ENCODINGS = {
+    "call": (_encode_call, 1 << 30),
+    "sethi": (_encode_sethi, 0b100 << 22),
+    "jmpl": (_encode_format3, _format3_fixed(2, OP3_JMPL)),
+    "save": (_encode_format3, _format3_fixed(2, OP3_SAVE)),
+    "restore": (_encode_format3, _format3_fixed(2, OP3_RESTORE)),
+    "rdpsr": (_encode_rdpsr, _format3_fixed(2, OP3_RDPSR)),
+    "wrpsr": (_encode_wrpsr, _format3_fixed(2, OP3_WRPSR)),
+    "ta": (_encode_trap, _format3_fixed(2, OP3_TRAP)
+           | TRAP_ALWAYS_COND << 25 | 1 << 13),
+}
+for _cond, _number in COND_NUMBER.items():
+    _ENCODINGS["b" + _cond] = (_encode_branch, 0b010 << 22 | _number << 25)
+    _ENCODINGS["b" + _cond + ",a"] = (_encode_branch,
+                                      0b010 << 22 | _number << 25 | 1 << 29)
+for _name, _op3 in ALU_OP3.items():
+    _ENCODINGS[_name] = (_encode_format3, _format3_fixed(2, _op3))
+for _name, _spec in MEM_OPS.items():
+    _ENCODINGS[_name] = (_encode_format3, _format3_fixed(3, _spec[0]))
+del _cond, _number, _name, _op3, _spec
 
 
 def _fields_tuple(**kwargs):
@@ -350,77 +415,11 @@ class SparcCodec(MachineCodec):
     # Encoding
     # ------------------------------------------------------------------
     def encode(self, name, **fields):
-        if name == "call":
-            disp30 = fields["disp30"]
-            if not bits.fits_signed(disp30, 30):
-                raise SpanError("call displacement %d out of range" % disp30)
-            return bits.to_u32((1 << 30) | (disp30 & bits.mask(30)))
-        if name == "sethi":
-            word = 0
-            word = bits.insert(word, 22, 24, 0b100)
-            word = bits.insert(word, 25, 29, fields["rd"])
-            word = bits.insert(word, 0, 21, fields["imm22"])
-            return word
-        if _branch_cond_of(name) is not None:
-            return self._encode_branch(name, fields)
-        if name in ALU_OP3:
-            return self._encode_format3(2, ALU_OP3[name], fields)
-        if name == "jmpl":
-            return self._encode_format3(2, OP3_JMPL, fields)
-        if name == "save":
-            return self._encode_format3(2, OP3_SAVE, fields)
-        if name == "restore":
-            return self._encode_format3(2, OP3_RESTORE, fields)
-        if name == "rdpsr":
-            word = bits.insert(0, 30, 31, 2)
-            word = bits.insert(word, 19, 24, OP3_RDPSR)
-            word = bits.insert(word, 25, 29, fields["rd"])
-            return word
-        if name == "wrpsr":
-            word = bits.insert(0, 30, 31, 2)
-            word = bits.insert(word, 19, 24, OP3_WRPSR)
-            word = bits.insert(word, 14, 18, fields["rs1"])
-            return word
-        if name == "ta":
-            word = bits.insert(0, 30, 31, 2)
-            word = bits.insert(word, 19, 24, OP3_TRAP)
-            word = bits.insert(word, 25, 28, TRAP_ALWAYS_COND)
-            word = bits.insert(word, 13, 13, 1)
-            word = bits.insert(word, 0, 6, fields.get("trap_num", 0))
-            return word
-        if name in MEM_OPS:
-            return self._encode_format3(3, MEM_OPS[name][0], fields)
-        raise ValueError("cannot encode unknown instruction %r" % name)
-
-    def _encode_branch(self, name, fields):
-        base = _branch_cond_of(name)
-        aflag = 1 if name.endswith(",a") else 0
-        if base is None:
-            raise ValueError("unknown branch condition %r" % name)
-        disp22 = fields["disp22"]
-        if not bits.fits_signed(disp22, 22):
-            raise SpanError("branch displacement %d out of range" % disp22)
-        word = bits.insert(0, 22, 24, 0b010)
-        word = bits.insert(word, 25, 28, COND_NUMBER[base])
-        word = bits.insert(word, 29, 29, fields.get("aflag", aflag))
-        word = bits.insert(word, 0, 21, disp22)
-        return word
-
-    def _encode_format3(self, op, op3, fields):
-        word = bits.insert(0, 30, 31, op)
-        word = bits.insert(word, 19, 24, op3)
-        word = bits.insert(word, 25, 29, fields.get("rd", 0))
-        word = bits.insert(word, 14, 18, fields.get("rs1", 0))
-        if "simm13" in fields:
-            simm13 = fields["simm13"]
-            if not bits.fits_signed(simm13, 13):
-                raise SpanError("simm13 value %d out of range" % simm13)
-            word = bits.insert(word, 13, 13, 1)
-            word = bits.insert(word, 0, 12, simm13)
-        else:
-            word = bits.insert(word, 13, 13, 0)
-            word = bits.insert(word, 0, 4, fields.get("rs2", 0))
-        return word
+        entry = _ENCODINGS.get(name)
+        if entry is None:
+            raise ValueError("cannot encode unknown instruction %r" % name)
+        form, fixed = entry
+        return form(fixed, fields)
 
     # ------------------------------------------------------------------
     # Control-flow helpers
@@ -441,17 +440,17 @@ class SparcCodec(MachineCodec):
         if inst.name == "call":
             if offset & 3:
                 raise SpanError("misaligned call target")
-            return bits.insert(word, 0, 29, offset >> 2)
+            return word & 0xC0000000 | (offset >> 2) & 0x3FFFFFFF
         if inst.category is Category.BRANCH:
             if offset & 3:
                 raise SpanError("misaligned branch target")
-            if not bits.fits_signed(offset >> 2, 22):
+            if not -0x200000 <= offset >> 2 <= 0x1FFFFF:
                 raise SpanError("branch displacement out of span")
-            return bits.insert(word, 0, 21, offset >> 2)
+            return word & 0xFFC00000 | (offset >> 2) & 0x3FFFFF
         if inst.name == "jmpl" and inst.category is Category.JUMP:
-            if not bits.fits_signed(target, 13):
+            if not -0x1000 <= target <= 0xFFF:
                 raise SpanError("literal jump target out of span")
-            return bits.insert(word, 0, 12, target)
+            return word & 0xFFFFE000 | target & 0x1FFF
         raise ValueError("instruction %s has no direct target" % inst.name)
 
     def invert_branch(self, word):
@@ -459,15 +458,14 @@ class SparcCodec(MachineCodec):
         inst = self.decode(word)
         if inst.category is not Category.BRANCH:
             raise ValueError("not a branch: %s" % inst.name)
-        cond = inst.get_field("cond")
-        return bits.insert(word, 25, 28, cond ^ 8)
+        return word & 0xE1FFFFFF | (inst.get_field("cond") ^ 8) << 25
 
     def clear_annul(self, word):
         """Return the non-annulling variant of a branch word."""
         inst = self.decode(word)
         if inst.category is not Category.BRANCH:
             raise ValueError("not a branch: %s" % inst.name)
-        return bits.insert(word, 29, 29, 0)
+        return word & 0xDFFFFFFF
 
     # ------------------------------------------------------------------
     # Disassembly

@@ -9,6 +9,9 @@ knowledge themselves.
 from repro.isa import bits
 from repro.isa.base import MachineConventions, SpanError
 from repro.isa.sparc.handwritten import (
+    OP3_RDPSR,
+    OP3_TRAP,
+    OP3_WRPSR,
     REG_FP,
     REG_G0,
     REG_ICC,
@@ -16,6 +19,11 @@ from repro.isa.sparc.handwritten import (
     REG_SP,
     SparcCodec,
 )
+
+# The unconditional branches with a zero displacement (direct jumps
+# OR in theirs).
+_BA = SparcCodec.instance().encode("ba", disp22=0)
+_BA_A = SparcCodec.instance().encode("ba,a", disp22=0)
 
 # Scratch-spill slots live below the stack pointer; the simulator has no
 # asynchronous traps, so the area below %sp is never clobbered.
@@ -116,16 +124,16 @@ class SparcConventions(MachineConventions):
         """An unconditional one-word branch (plus its delay slot is the
         caller's concern); raises SpanError beyond +-8MB."""
         offset = bits.to_s32(target - pc)
-        if offset & 3 or not bits.fits_signed(offset >> 2, 22):
+        if offset & 3 or not -0x200000 <= offset >> 2 <= 0x1FFFFF:
             raise SpanError("ba target out of span")
-        return self.codec.encode("ba", disp22=offset >> 2)
+        return _BA | (offset >> 2) & 0x3FFFFF
 
     def direct_jump_annulled(self, pc, target):
         """ba,a: jump whose (absent) delay slot never executes."""
         offset = bits.to_s32(target - pc)
-        if offset & 3 or not bits.fits_signed(offset >> 2, 22):
+        if offset & 3 or not -0x200000 <= offset >> 2 <= 0x1FFFFF:
             raise SpanError("ba,a target out of span")
-        return self.codec.encode("ba,a", disp22=offset >> 2)
+        return _BA_A | (offset >> 2) & 0x3FFFFF
 
     def call_word(self, pc, target):
         offset = bits.to_s32(target - pc)
@@ -135,43 +143,42 @@ class SparcConventions(MachineConventions):
 
     # ------------------------------------------------------------------
     def rebind_registers(self, words, mapping):
-        """Rewrite register fields of snippet *words* per *mapping*."""
+        """Rewrite register fields of snippet *words* per *mapping*.
+
+        Format-3 words rebind rd, rs1 and (register form) rs2, except
+        that ``ta`` has no register fields, ``rdpsr`` reads no rs1 and
+        ``wrpsr`` has only rs1; ``sethi`` rebinds rd.
+        """
         if not mapping:
             return list(words)
         out = []
         for word in words:
-            op = bits.extract(word, 30, 31)
-            if op in (2, 3):
-                word = self._rebind_format3(word, mapping)
-            elif op == 0 and bits.extract(word, 22, 24) == 0b100:  # sethi
-                rd = bits.extract(word, 25, 29)
+            op = word >> 30 & 3
+            if op >= 2:
+                word = _rebind_format3(word, op, mapping)
+            elif op == 0 and word & 0x01C00000 == 0x01000000:  # sethi
+                rd = word >> 25 & 0x1F
                 if rd in mapping:
-                    word = bits.insert(word, 25, 29, mapping[rd])
+                    word = word & 0xC1FFFFFF | (mapping[rd] & 0x1F) << 25
             out.append(word)
         return out
 
-    def _rebind_format3(self, word, mapping):
-        from repro.isa.sparc.handwritten import OP3_RDPSR, OP3_TRAP, OP3_WRPSR
 
-        op3 = bits.extract(word, 19, 24)
-        if bits.extract(word, 30, 31) == 2 and op3 == OP3_TRAP:
-            return word
-        rd = bits.extract(word, 25, 29)
-        rs1 = bits.extract(word, 14, 18)
-        if bits.extract(word, 30, 31) == 2 and op3 == OP3_WRPSR:
-            if rs1 in mapping:
-                word = bits.insert(word, 14, 18, mapping[rs1])
-            return word
-        if rd in mapping and not (
-            bits.extract(word, 30, 31) == 2 and op3 == OP3_WRPSR
-        ):
-            word = bits.insert(word, 25, 29, mapping[rd])
-        if rs1 in mapping and not (
-            bits.extract(word, 30, 31) == 2 and op3 == OP3_RDPSR
-        ):
-            word = bits.insert(word, 14, 18, mapping[rs1])
-        if not bits.extract(word, 13, 13):  # register form: rewrite rs2
-            rs2 = bits.extract(word, 0, 4)
-            if rs2 in mapping:
-                word = bits.insert(word, 0, 4, mapping[rs2])
+
+def _rebind_format3(word, op, mapping):
+    op3 = word >> 19 & 0x3F
+    if op == 2 and op3 == OP3_TRAP:
         return word
+    rs1 = word >> 14 & 0x1F
+    if rs1 in mapping and not (op == 2 and op3 == OP3_RDPSR):
+        word = word & 0xFFF83FFF | (mapping[rs1] & 0x1F) << 14
+    if op == 2 and op3 == OP3_WRPSR:
+        return word
+    rd = word >> 25 & 0x1F
+    if rd in mapping:
+        word = word & 0xC1FFFFFF | (mapping[rd] & 0x1F) << 25
+    if not word & 0x2000:  # register form: rewrite rs2
+        rs2 = word & 0x1F
+        if rs2 in mapping:
+            word = word & 0xFFFFFFE0 | mapping[rs2] & 0x1F
+    return word

@@ -14,8 +14,10 @@ The placement is what turns a bare divergent address into provenance:
 """
 
 import bisect
+import struct
 
 from repro.core.executable import Executable
+from repro.core.layout import Item
 
 NEW_TEXT_SECTION = ".text.edited"
 
@@ -85,7 +87,9 @@ class EditPlacement:
     Reconstructs where each :class:`~repro.core.layout.Item` landed from
     the routine's ``edited.base`` and the items' sizes — the same
     arithmetic the finalizer used, so it is exact even after tools like
-    qpt delete their CFGs.
+    qpt delete their CFGs.  A ``run`` item (a stretch of untouched
+    original words) expands into one ``word`` entry per word, so every
+    original word has its own provenance, as if laid out one by one.
     """
 
     def __init__(self, executable):
@@ -105,6 +109,17 @@ class EditPlacement:
                     # Stub labels carry no original address; attribution
                     # stops at the routine level inside them.
                     block = item.orig_addr
+                    continue
+                if item.kind == "run":
+                    words = struct.unpack(">%dI" % (len(item.data) // 4),
+                                          item.data)
+                    for offset, word in enumerate(words):
+                        entries.append(PlacedItem(
+                            cursor, cursor + 4,
+                            Item("word", word=word,
+                                 orig_addr=item.orig_addr + 4 * offset),
+                            routine.name, block, region))
+                        cursor += 4
                     continue
                 size = item.size(arch)
                 entries.append(PlacedItem(cursor, cursor + size, item,

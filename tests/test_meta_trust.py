@@ -286,6 +286,27 @@ def test_dropped_delay_cti_rejected(monkeypatch):
     assert "missing" in executable.meta_reject_detail
 
 
+def test_delay_cti_sweep_honours_extents_and_data(monkeypatch):
+    """A CTI in a delay slot counts only when the transfer and its slot
+    both lie in one claimed extent and neither is claimed data."""
+    monkeypatch.setenv("REPRO_CACHE", "off")
+    program = _program_with(
+        lambda p: any(t["kind"] == "cti-slot"
+                      for r in p.manifest["routines"]
+                      for t in r["transfers"]))
+    executable = Executable(program.image).read_contents(trust_meta=False)
+    extents = [(r.start, r.end) for r in executable.all_routines()]
+    found = trust.scan_delay_ctis(executable, extents)
+    assert found
+    slot = min(found)
+    assert slot in trust.scan_delay_ctis(executable, extents, {slot + 4})
+    for data in ({slot}, {slot - 4}):
+        assert slot not in trust.scan_delay_ctis(executable, extents, data)
+    cut = [(start, min(end, slot)) for start, end in extents
+           if start < slot]
+    assert slot not in trust.scan_delay_ctis(executable, cut)
+
+
 def test_dropped_routine_never_silent(monkeypatch):
     from repro.fuzz.meta import _mut_drop_routine
 

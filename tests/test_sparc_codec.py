@@ -1,10 +1,23 @@
 """Handwritten SPARC codec: decode, encode, classify."""
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from repro.isa import get_codec
+from repro.isa import bits, get_codec, get_conventions
 from repro.isa.base import Category, SpanError
+from repro.isa.sparc.handwritten import (
+    ALU_OP3,
+    BRANCH_CONDS,
+    COND_NUMBER,
+    MEM_OPS,
+    OP3_JMPL,
+    OP3_RDPSR,
+    OP3_RESTORE,
+    OP3_SAVE,
+    OP3_TRAP,
+    OP3_WRPSR,
+    TRAP_ALWAYS_COND,
+)
 
 codec = get_codec("sparc")
 
@@ -210,3 +223,204 @@ def test_alu_imm_roundtrip_property(simm13, rd, rs1):
     assert inst.get_field("simm13") == simm13
     assert inst.get_field("rd") == rd
     assert inst.get_field("rs1") == rs1
+
+
+# ----------------------------------------------------------------------
+# Field-by-field reference: the encoder and register rebinding written
+# one bits.insert per field.  The codec's table encoder and the
+# conventions' mask rebinding must agree with it on every input,
+# including out-of-range fields (same word, or the same exception).
+# ----------------------------------------------------------------------
+
+
+def _reference_branch_cond(name):
+    if not name.startswith("b"):
+        return None
+    base = name[1:]
+    if base.endswith(",a"):
+        base = base[:-2]
+    return base if base in COND_NUMBER else None
+
+
+def _reference_format3(op, op3, fields):
+    word = bits.insert(0, 30, 31, op)
+    word = bits.insert(word, 19, 24, op3)
+    word = bits.insert(word, 25, 29, fields.get("rd", 0))
+    word = bits.insert(word, 14, 18, fields.get("rs1", 0))
+    if "simm13" in fields:
+        simm13 = fields["simm13"]
+        if not bits.fits_signed(simm13, 13):
+            raise SpanError("simm13 value %d out of range" % simm13)
+        word = bits.insert(word, 13, 13, 1)
+        word = bits.insert(word, 0, 12, simm13)
+    else:
+        word = bits.insert(word, 13, 13, 0)
+        word = bits.insert(word, 0, 4, fields.get("rs2", 0))
+    return word
+
+
+def reference_encode(name, **fields):
+    if name == "call":
+        disp30 = fields["disp30"]
+        if not bits.fits_signed(disp30, 30):
+            raise SpanError("call displacement %d out of range" % disp30)
+        return bits.to_u32((1 << 30) | (disp30 & bits.mask(30)))
+    if name == "sethi":
+        word = bits.insert(0, 22, 24, 0b100)
+        word = bits.insert(word, 25, 29, fields["rd"])
+        return bits.insert(word, 0, 21, fields["imm22"])
+    base = _reference_branch_cond(name)
+    if base is not None:
+        aflag = 1 if name.endswith(",a") else 0
+        disp22 = fields["disp22"]
+        if not bits.fits_signed(disp22, 22):
+            raise SpanError("branch displacement %d out of range" % disp22)
+        word = bits.insert(0, 22, 24, 0b010)
+        word = bits.insert(word, 25, 28, COND_NUMBER[base])
+        word = bits.insert(word, 29, 29, fields.get("aflag", aflag))
+        return bits.insert(word, 0, 21, disp22)
+    if name in ALU_OP3:
+        return _reference_format3(2, ALU_OP3[name], fields)
+    if name in ("jmpl", "save", "restore"):
+        op3 = {"jmpl": OP3_JMPL, "save": OP3_SAVE,
+               "restore": OP3_RESTORE}[name]
+        return _reference_format3(2, op3, fields)
+    if name == "rdpsr":
+        word = bits.insert(0, 30, 31, 2)
+        word = bits.insert(word, 19, 24, OP3_RDPSR)
+        return bits.insert(word, 25, 29, fields["rd"])
+    if name == "wrpsr":
+        word = bits.insert(0, 30, 31, 2)
+        word = bits.insert(word, 19, 24, OP3_WRPSR)
+        return bits.insert(word, 14, 18, fields["rs1"])
+    if name == "ta":
+        word = bits.insert(0, 30, 31, 2)
+        word = bits.insert(word, 19, 24, OP3_TRAP)
+        word = bits.insert(word, 25, 28, TRAP_ALWAYS_COND)
+        word = bits.insert(word, 13, 13, 1)
+        return bits.insert(word, 0, 6, fields.get("trap_num", 0))
+    if name in MEM_OPS:
+        return _reference_format3(3, MEM_OPS[name][0], fields)
+    raise ValueError("cannot encode unknown instruction %r" % name)
+
+
+def _reference_rebind_format3(word, mapping):
+    op = bits.extract(word, 30, 31)
+    op3 = bits.extract(word, 19, 24)
+    if op == 2 and op3 == OP3_TRAP:
+        return word
+    rd = bits.extract(word, 25, 29)
+    rs1 = bits.extract(word, 14, 18)
+    if op == 2 and op3 == OP3_WRPSR:
+        if rs1 in mapping:
+            word = bits.insert(word, 14, 18, mapping[rs1])
+        return word
+    if rd in mapping:
+        word = bits.insert(word, 25, 29, mapping[rd])
+    if rs1 in mapping and not (op == 2 and op3 == OP3_RDPSR):
+        word = bits.insert(word, 14, 18, mapping[rs1])
+    if not bits.extract(word, 13, 13):
+        rs2 = bits.extract(word, 0, 4)
+        if rs2 in mapping:
+            word = bits.insert(word, 0, 4, mapping[rs2])
+    return word
+
+
+def reference_rebind(words, mapping):
+    if not mapping:
+        return list(words)
+    out = []
+    for word in words:
+        op = bits.extract(word, 30, 31)
+        if op in (2, 3):
+            word = _reference_rebind_format3(word, mapping)
+        elif op == 0 and bits.extract(word, 22, 24) == 0b100:
+            rd = bits.extract(word, 25, 29)
+            if rd in mapping:
+                word = bits.insert(word, 25, 29, mapping[rd])
+        out.append(word)
+    return out
+
+
+MNEMONICS = (sorted(ALU_OP3) + sorted(MEM_OPS)
+             + ["b" + cond for cond in BRANCH_CONDS]
+             + ["b" + cond + ",a" for cond in BRANCH_CONDS]
+             + ["call", "sethi", "jmpl", "save", "restore", "rdpsr",
+                "wrpsr", "ta", "frobnicate"])
+FIELD_NAMES = ("rd", "rs1", "rs2", "simm13", "imm22", "disp22", "disp30",
+               "aflag", "trap_num")
+# Values inside, at the edges of, and well outside every field's range.
+_EDGES = sorted({sign * (1 << width) + delta for width in (4, 5, 7, 12, 13,
+                                                           21, 22, 29, 30)
+                 for sign in (1, -1) for delta in (-1, 0, 1)})
+FIELD_VALUES = st.one_of(st.integers(min_value=-40, max_value=40),
+                         st.sampled_from(_EDGES),
+                         st.integers(min_value=-(1 << 23),
+                                     max_value=1 << 23),
+                         st.integers(min_value=-(1 << 34),
+                                     max_value=1 << 34))
+
+
+def _outcome(function, *args, **kwargs):
+    try:
+        return ("word", function(*args, **kwargs))
+    except Exception as error:  # the exception itself is the outcome
+        return (type(error), str(error))
+
+
+@settings(max_examples=300)
+@given(st.sampled_from(MNEMONICS),
+       st.dictionaries(st.sampled_from(FIELD_NAMES), FIELD_VALUES))
+def test_encode_matches_field_by_field_reference(name, fields):
+    assert _outcome(codec.encode, name, **fields) \
+        == _outcome(reference_encode, name, **fields)
+
+
+def test_encode_matches_reference_on_every_mnemonic_in_range():
+    for name in MNEMONICS[:-1]:
+        for fields in ({"rd": 9, "rs1": 14, "simm13": -96},
+                       {"rd": 31, "rs1": 1, "rs2": 30},
+                       {"rd": 3, "imm22": 0x3FFFFF}, {"disp22": -5},
+                       {"disp22": 7, "aflag": 1}, {"disp30": -(1 << 29)},
+                       {"rs1": 17, "rd": 16}, {"trap_num": 5}, {}):
+            assert _outcome(codec.encode, name, **fields) \
+                == _outcome(reference_encode, name, **fields), (name, fields)
+
+
+def test_encode_matches_reference_at_field_edges():
+    for name in MNEMONICS:
+        for field_name in FIELD_NAMES:
+            for value in _EDGES:
+                fields = {field_name: value}
+                assert _outcome(codec.encode, name, **fields) \
+                    == _outcome(reference_encode, name, **fields), \
+                    (name, fields)
+
+
+# Registers mostly from a small pool, so that fields hit the mapping.
+_REGS = st.one_of(st.integers(min_value=0, max_value=3),
+                  st.integers(min_value=0, max_value=31))
+# Words with every op, and the op3 values whose register fields are
+# irregular drawn often enough to be hit.
+_WORDS = st.one_of(
+    st.integers(min_value=0, max_value=0xFFFFFFFF),
+    st.builds(lambda op, op3, rd, rs1, low: (op << 30 | rd << 25 | op3 << 19
+                                              | rs1 << 14 | low),
+              st.integers(min_value=2, max_value=3),
+              st.sampled_from((OP3_TRAP, OP3_RDPSR, OP3_WRPSR, 0x00, 0x04)),
+              _REGS, _REGS,
+              st.one_of(_REGS, st.integers(min_value=0, max_value=0x3FFF))),
+    st.builds(lambda op, rd, op2, imm: op << 30 | rd << 25 | op2 << 22 | imm,
+              st.integers(min_value=0, max_value=1), _REGS,
+              st.integers(min_value=0, max_value=7),
+              st.integers(min_value=0, max_value=(1 << 22) - 1)))
+_MAPPINGS = st.dictionaries(_REGS, st.integers(min_value=-40, max_value=80),
+                            min_size=1)
+
+
+@settings(max_examples=300)
+@given(st.lists(_WORDS, min_size=1, max_size=8), _MAPPINGS)
+def test_rebind_matches_field_by_field_reference(words, mapping):
+    conventions = get_conventions("sparc")
+    assert conventions.rebind_registers(words, mapping) \
+        == reference_rebind(words, mapping)
