@@ -3,12 +3,18 @@
 
 Starts a real ``repro fleet`` gateway with 2 shard daemons, points 10
 concurrent mixed-priority clients at it (interactive run/routines plus
-bulk verify, across a SPARC and a MIPS workload), hot-restarts a shard
+bulk verify, across a SPARC and a MIPS workload), SIGKILLs shard 1
+while uncached verifies are running on it, hot-restarts shard 0
 mid-traffic, then SIGTERMs the gateway and checks the contract the
 README promises:
 
 * zero dropped requests — every request gets a well-formed answer, and
   every fleet answer names its serving shard;
+* a killed shard costs its in-flight requests one client retry, never a
+  failure: the gateway answers ``unavailable`` with ``retry_after``,
+  respawns the shard (``fleet.shard_deaths`` and ``fleet.respawns``
+  both count it), and ``repro trace``'s anomaly pass over the merged
+  logs reports the retried requests;
 * a hot restart completes while traffic flows, bumping the shard's
   generation with zero client-visible failures;
 * clean drain — exit code 0, ``repro-fleet: drained`` on stderr, the
@@ -35,6 +41,7 @@ import signal
 import subprocess
 import sys
 import threading
+import time
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src")
@@ -42,10 +49,12 @@ ARTIFACTS = os.environ.get("SMOKE_ARTIFACTS_DIR") \
     or os.path.join(ROOT, ".smoke-artifacts")
 sys.path.insert(0, SRC)
 
+from repro.fleet.ring import route  # noqa: E402
 from repro.serve.client import ServeClient, wait_for_daemon  # noqa: E402
 
 CLIENTS = 10
 SHARDS = 2
+VICTIM = 1  # shard SIGKILLed mid-burst; shard 0 is hot-restarted
 WORKLOADS = ["fib", "mips_sum"]  # one per architecture
 EXPECTED = {"fib": "fib 1597\n", "mips_sum": "5050\n"}
 
@@ -80,6 +89,20 @@ def client_session(address, index, outcomes, errors):
             outcomes.append((index, shard))
     except Exception as error:  # noqa: BLE001 - reported, then fatal
         errors.append("client %d (%s): %s" % (index, workload, error))
+
+
+def victim_verify(address, workload, errors):
+    """One uncached verify keyed to the victim shard, so a request is
+    in flight there when it is killed."""
+    try:
+        with ServeClient(address, retries=10) as client:
+            verify = client.request("verify", workload=workload, tool="qpt",
+                                    use_memo=False)
+            if not verify["ok"]:
+                raise AssertionError("verify failed for %s:\n%s"
+                                     % (workload, verify["text"]))
+    except Exception as error:  # noqa: BLE001 - reported, then fatal
+        errors.append("victim request (%s): %s" % (workload, error))
 
 
 def _span_names(forest):
@@ -155,7 +178,11 @@ def check_events(events_path, run_dir):
     if crossed < CLIENTS * 3:
         fail("only %d connected cross-process traces, expected >= %d"
              % (crossed, CLIENTS * 3))
-    return crossed
+    retried = [line for line in obs_events.find_anomalies(merged)
+               if line.startswith("retries:")]
+    if not retried:
+        fail("no retried request in the merged logs after a shard kill")
+    return crossed, len(retried)
 
 
 def main():
@@ -175,12 +202,25 @@ def main():
         if not wait_for_daemon(sock, timeout=120.0):
             fail("fleet gateway did not come up within 120s")
 
+        from repro.verify import corpus_names
+
         outcomes, errors = [], []
         threads = [threading.Thread(target=client_session,
                                     args=(sock, index, outcomes, errors))
                    for index in range(CLIENTS)]
+        threads += [threading.Thread(target=victim_verify,
+                                     args=(sock, name, errors))
+                    for name in corpus_names()
+                    if route("workload:" + name, SHARDS) == VICTIM][:6]
+        with ServeClient(sock, retries=10) as control:
+            victim_pid = control.stats(["fleet"])["report"]["fleet"][
+                "shards"][str(VICTIM)]["pid"]
         for thread in threads:
             thread.start()
+        # SIGKILL the victim while its verifies run: the requests it
+        # held must reach their clients as one retry each, not a failure.
+        time.sleep(0.3)
+        os.kill(victim_pid, signal.SIGKILL)
         # Hot-restart shard 0 while the burst is in flight: the rolling
         # replacement must be invisible to every client above.
         with ServeClient(sock, retries=10) as control:
@@ -226,6 +266,10 @@ def main():
         if fleet["hot_restarts"] < 1:
             fail("fleet.hot_restarts=%d after an explicit restart"
                  % fleet["hot_restarts"])
+        if fleet["shard_deaths"] < 1 or fleet["respawns"] < 1:
+            fail("shard %d was killed but fleet.shard_deaths=%d, "
+                 "fleet.respawns=%d" % (VICTIM, fleet["shard_deaths"],
+                                        fleet["respawns"]))
         shards = fleet.get("shards") or {}
         if sorted(shards) != [str(i) for i in range(SHARDS)]:
             fail("per-shard table is incomplete: %r" % sorted(shards))
@@ -236,13 +280,13 @@ def main():
         if served < CLIENTS * 3:
             fail("shards answered only %d requests, expected >= %d"
                  % (served, CLIENTS * 3))
-        crossed = check_events(events_path, run_dir)
+        crossed, retried = check_events(events_path, run_dir)
         print("ci-fleet-smoke: OK — %d clients over %d shards, "
-              "%d forwarded (%d rerouted, %d retries), hot restart to "
-              "generation %d, %d connected cross-process span trees, "
-              "clean drain"
+              "%d forwarded (%d rerouted), shard %d killed and respawned "
+              "(%d retried traces), hot restart to generation %d, %d "
+              "connected cross-process span trees, clean drain"
               % (CLIENTS, SHARDS, fleet["forwarded"], fleet["rerouted"],
-                 fleet["retries"], shards["0"]["generation"], crossed))
+                 VICTIM, retried, shards["0"]["generation"], crossed))
         return 0
     finally:
         if gateway.poll() is None:

@@ -363,6 +363,7 @@ def _cmd_stats(args):
 def _cmd_verify(args):
     """Differential verification (lints + cosim) of instrumented
     workloads; see DESIGN.md section 5e."""
+    from repro.pool import fan_out
     from repro.verify import _verify_worker, corpus_names
 
     from repro.workloads.builder import program_names
@@ -385,38 +386,13 @@ def _cmd_verify(args):
     use_memo = not args.no_memo
     payloads = [(name, args.tool, args.mode, use_memo, args.stdin or "")
                 for name in names]
-    results = None
-    if args.jobs > 1 and len(payloads) > 1:
-        try:
-            from concurrent.futures import ProcessPoolExecutor
-
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                results = list(pool.map(_verify_worker, payloads))
-        except Exception:
-            # --jobs is always safe: pools that die fall back to the
-            # serial path.
-            from repro.obs import metrics as _metrics
-
-            _metrics.counter("verify.parallel_fallbacks").inc()
-            results = None
-        if results is not None:
-            # Pool children counted in their own processes; fold their
-            # deltas in so --stats-json reflects the whole run.
-            from repro.obs import metrics as _metrics
-
-            for _name, _ok, _text, deltas in results:
-                for key, value in deltas.items():
-                    _metrics.counter(key).inc(value)
-    if results is None:
-        results = [_verify_worker(payload) for payload in payloads]
-
     failures = 0
-    for _name, ok, text, _deltas in results:
+    for _name, ok, text in fan_out(_verify_worker, payloads, args.jobs):
         print(text)
         if not ok:
             failures += 1
     print("[verified %d/%d workloads with %s]"
-          % (len(results) - failures, len(results), args.tool),
+          % (len(payloads) - failures, len(payloads), args.tool),
           file=sys.stderr)
     return 0 if failures == 0 else 1
 
@@ -487,7 +463,6 @@ def _cmd_serve(args):
 
     config = ServeConfig(socket_path=args.socket, jobs=args.jobs,
                          queue_size=args.queue, timeout_s=args.timeout,
-                         chaos=True if args.chaos else None,
                          events_path=args.events,
                          shard_id=args.shard_id)
     return serve_main(config, stats_json=args.stats_json, trace=args.trace)
@@ -884,8 +859,6 @@ def main(argv=None):
     serve.add_argument("--timeout", type=float, default=None, metavar="S",
                        help="per-request timeout in seconds (default: "
                             "$REPRO_SERVE_TIMEOUT or 60)")
-    serve.add_argument("--chaos", action="store_true",
-                       help="enable deliberate-failure ops (testing)")
     serve.add_argument("--events", default=None, metavar="PATH",
                        help="append request/worker lifecycle events "
                             "(repro.events/1 JSONL) to PATH "
@@ -955,7 +928,8 @@ def main(argv=None):
     client.add_argument("--timeout", type=float, default=120.0,
                         help="client-side I/O timeout (seconds)")
     client.add_argument("--retries", type=int, default=5,
-                        help="max retries on overloaded/timeout responses")
+                        help="max retries of answers that carry a "
+                             "retry_after hint")
     client.set_defaults(func=_cmd_client)
 
     trace = sub.add_parser("trace",

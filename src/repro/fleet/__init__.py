@@ -9,11 +9,11 @@ sweeps, and replaces shards — crash or deliberate hot-restart —
 without clients seeing a failure.  See DESIGN.md §5j.
 """
 
-from repro.fleet.admission import AdmissionQueue, priority_class
 from repro.fleet.config import FleetConfig, default_gateway_path
 from repro.fleet.gateway import FleetGateway, fleet_main
 from repro.fleet.ring import content_key, preference, route
 from repro.fleet.shards import ShardManager, ShardSlot
+from repro.serve.admission import AdmissionQueue, priority_class
 
 __all__ = [
     "AdmissionQueue",

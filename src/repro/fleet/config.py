@@ -26,7 +26,7 @@ class FleetConfig:
 
     def __init__(self, address=None, shards=None, run_dir=None,
                  shard_jobs=None, queue_size=None, starvation_limit=None,
-                 forwarders=None, retries=None, retry_after_s=None,
+                 forwarders=None, retry_after_s=None,
                  health_interval_s=None, respawn_limit=None,
                  shard_timeout_s=None, spawn_timeout_s=None,
                  drain_timeout_s=None, events_path=None,
@@ -54,10 +54,6 @@ class FleetConfig:
         # Forwarding threads: concurrent requests in flight to shards.
         self.forwarders = forwarders if forwarders is not None \
             else env_int("REPRO_FLEET_FORWARDERS", 8, minimum=1)
-        # Gateway-side retries for draining/overloaded shard answers
-        # (distinct from ServeClient retries — the gateway owns rerouting).
-        self.retries = retries if retries is not None \
-            else env_int("REPRO_FLEET_RETRIES", 6, minimum=0)
         self.retry_after_s = retry_after_s if retry_after_s is not None \
             else env_float("REPRO_FLEET_RETRY_AFTER", 0.1, minimum=0.0)
         self.health_interval_s = health_interval_s \

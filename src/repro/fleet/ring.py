@@ -24,7 +24,7 @@ def content_key(op, params):
     Requests naming a ``workload`` route by name (cheap, stable);
     inline images route by content digest, so two clients shipping
     the same bytes coalesce on one shard's warm analysis.  Ops that
-    reference no executable (ping, stats, chaos...) have no affinity
+    reference no executable (ping, stats, ...) have no affinity
     and are routed by load instead.
     """
     name = params.get("workload")

@@ -17,8 +17,8 @@ Hot-restart is the same machinery driven deliberately: spawn the
 replacement at the next generation, pre-warm it from the *old*
 process's own handoff snapshot (the ``handoff``/``warm`` ops), swap
 the slot atomically, then drain the old process.  Clients see at most
-a ``draining`` answer with ``retry_after`` — which the gateway's
-forward loop retries onto the warm replacement — never a failure.
+a ``draining`` answer with ``retry_after`` — which the client retries
+onto the warm replacement — never a failure.
 """
 
 import os
@@ -260,6 +260,10 @@ class ShardManager:
                     process.poll()
                 except OSError:
                     pass
+            try:  # a killed shard cannot unlink its own socket
+                os.unlink(slot.socket_path)
+            except OSError:
+                pass
             if self._stop.is_set() \
                     or slot.respawns >= self.config.respawn_limit:
                 return
@@ -302,7 +306,7 @@ class ShardManager:
            recent set if the old process cannot answer).
         3. Swap the slot's routing state atomically.
         4. Drain the old process; requests it rejects as ``draining``
-           are retried by the gateway onto the warm replacement.
+           are retried by their clients onto the warm replacement.
 
         Returns a summary dict (generation, warmed count).
         """
@@ -358,10 +362,10 @@ class ShardManager:
                 "--timeout", str(self.config.shard_timeout_s)]
         events_path = self.config.shard_events_path(slot.index)
         if events_path:
-            # --trace rides along so per-request span trees land in the
-            # shard's event log (the smoke test validates gateway→shard
-            # span connectivity across the merged logs).
-            argv += ["--events", events_path, "--trace"]
+            # An event log turns span recording on, so per-request span
+            # trees land in the shard's log (the smoke test validates
+            # gateway→shard span connectivity across the merged logs).
+            argv += ["--events", events_path]
         env = dict(os.environ)
         env["PYTHONPATH"] = os.pathsep.join(
             p for p in (os.path.dirname(os.path.dirname(

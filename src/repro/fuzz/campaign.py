@@ -15,10 +15,10 @@ entire pipeline and classified:
   typed reason (see :mod:`repro.core.trust`);
 * ``crash:<stage>:<Exception>`` — some pipeline stage raised.
 
-Campaigns fan out across processes; each worker counts ``fuzz.*`` and
-``verify.*`` metrics in its own process and returns the deltas so the
-parent can merge them (the ``repro verify --jobs`` pattern) and
-``--stats-json`` stays truthful.
+Campaigns fan out across processes through :func:`repro.pool.fan_out`,
+the helper ``repro verify --jobs`` uses too: it merges every counter a
+pool child counted back into the parent, so ``--stats-json`` reports
+the same counters at any ``--jobs``.
 
 A campaign's exit status is decided against the reproducer corpus
 (:mod:`repro.fuzz.corpus`): failure classes with a triaged ``xfail``
@@ -35,6 +35,7 @@ from time import perf_counter
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
 from repro.obs.trace import span as _span
+from repro.pool import fan_out
 
 from repro.fuzz import corpus as _corpus
 from repro.fuzz.gen import GenConfig, build_plan, plan_to_program
@@ -49,8 +50,6 @@ _C_STORED = _metrics.counter("fuzz.reproducers_stored")
 _C_META_REJECT = _metrics.counter("fuzz.meta_rejects")
 
 Outcome = collections.namedtuple("Outcome", "seed status detail")
-
-_DELTA_PREFIXES = ("fuzz.", "verify.")
 
 
 def tools_for(arch):
@@ -216,25 +215,14 @@ def classify_seed(seed, config=None, timings=None, meta_mode=None):
 
 
 # ----------------------------------------------------------------------
-# Process-pool fan-out (counter-delta merging, as in `repro verify`)
+# Process-pool fan-out
 # ----------------------------------------------------------------------
 
 
-def _fuzz_counters():
-    return {name: instrument.snapshot()
-            for name, instrument in _metrics.REGISTRY.counters.items()
-            if name.startswith(_DELTA_PREFIXES)}
-
-
 def _campaign_worker(payload):
-    """Pool worker: classify one seed, return its counter deltas.
-
-    Generated images are all distinct, so persisting their analyses
-    would only churn the cache directory: the worker runs cache-off.
-    """
+    """Pool worker: classify one seed, ``(seed, status, detail,
+    timings)``."""
     seed, config_dict, meta_mode = payload
-    os.environ["REPRO_CACHE"] = "off"
-    before = _fuzz_counters()
     timings = {}
     try:
         status, detail = classify_seed(seed, GenConfig(**config_dict),
@@ -242,15 +230,31 @@ def _campaign_worker(payload):
                                        meta_mode=meta_mode)
     except Exception as error:  # classify itself must not raise
         status, detail = "crash:driver:%s" % type(error).__name__, str(error)
-    after = _fuzz_counters()
-    deltas = {key: after[key] - before.get(key, 0) for key in after
-              if after[key] != before.get(key, 0)}
-    return seed, status, detail, deltas, timings
+    return seed, status, detail, timings
 
 
-def _merge_deltas(deltas):
-    for name, delta in deltas.items():
-        _metrics.REGISTRY.counter(name).inc(delta)
+def _outcomes(payloads, jobs, out_of_time=None):
+    """Classify *payloads* in seed order, logging one ``fuzz.seed``
+    event each.
+
+    Generated images are all distinct, so persisting their analyses
+    would only churn the cache directory: seeds classify cache-off
+    (pool children inherit the setting), and the caller's setting is
+    restored afterwards.
+    """
+    saved = os.environ.get("REPRO_CACHE")
+    os.environ["REPRO_CACHE"] = "off"
+    try:
+        for seed, status, detail, timings in fan_out(
+                _campaign_worker, payloads, jobs, out_of_time):
+            _events.emit("fuzz.seed", seed=seed, status=status,
+                         timings=timings)
+            yield Outcome(seed, status, detail)
+    finally:
+        if saved is None:
+            os.environ.pop("REPRO_CACHE", None)
+        else:
+            os.environ["REPRO_CACHE"] = saved
 
 
 class CampaignResult:
@@ -322,11 +326,11 @@ def run_campaign(seeds, base_seed=0, jobs=1, config=None,
     _events.emit("campaign.begin", seeds=seeds, base_seed=base_seed,
                  jobs=jobs, time_budget_s=time_budget)
     with _span("fuzz.campaign", seeds=seeds, jobs=jobs):
-        if jobs > 1:
-            _parallel_outcomes(payloads, jobs, result, out_of_time,
-                               progress)
-        else:
-            _serial_outcomes(payloads, result, out_of_time, progress)
+        for outcome in _outcomes(payloads, jobs, out_of_time):
+            result.outcomes.append(outcome)
+            if progress:
+                progress(outcome)
+        result.skipped = len(payloads) - len(result.outcomes)
         _triage(result, config, corpus_dir, shrink, meta_mode=meta_mode)
     _events.emit("campaign.end", seeds=len(result.outcomes),
                  clean=result.clean, skipped=result.skipped,
@@ -335,57 +339,6 @@ def run_campaign(seeds, base_seed=0, jobs=1, config=None,
                  stored=len(result.stored), ok=result.ok,
                  elapsed_s=round(time.monotonic() - started, 3))
     return result
-
-
-def _serial_outcomes(payloads, result, out_of_time, progress):
-    # The worker flips REPRO_CACHE off for the child process; serially
-    # we are the "child", so save and restore the caller's setting.
-    saved = os.environ.get("REPRO_CACHE")
-    try:
-        for index, payload in enumerate(payloads):
-            if out_of_time():
-                result.skipped = len(payloads) - index
-                break
-            seed, status, detail, _, timings = _campaign_worker(payload)
-            outcome = Outcome(seed, status, detail)
-            _events.emit("fuzz.seed", seed=seed, status=status,
-                         timings=timings)
-            result.outcomes.append(outcome)
-            if progress:
-                progress(outcome)
-    finally:
-        if saved is None:
-            os.environ.pop("REPRO_CACHE", None)
-        else:
-            os.environ["REPRO_CACHE"] = saved
-
-
-def _parallel_outcomes(payloads, jobs, result, out_of_time, progress):
-    import concurrent.futures
-
-    try:
-        pool = concurrent.futures.ProcessPoolExecutor(max_workers=jobs)
-    except (OSError, ValueError):
-        # Constrained environments (no /dev/shm, no fork): run serially.
-        _serial_outcomes(payloads, result, out_of_time, progress)
-        return
-    with pool:
-        futures = [pool.submit(_campaign_worker, payload)
-                   for payload in payloads]
-        for future in futures:
-            if out_of_time():
-                for pending in futures:
-                    pending.cancel()
-                result.skipped = sum(1 for f in futures if f.cancelled())
-                break
-            seed, status, detail, deltas, timings = future.result()
-            _merge_deltas(deltas)
-            outcome = Outcome(seed, status, detail)
-            _events.emit("fuzz.seed", seed=seed, status=status,
-                         timings=timings)
-            result.outcomes.append(outcome)
-            if progress:
-                progress(outcome)
 
 
 # ----------------------------------------------------------------------
@@ -526,26 +479,18 @@ def run_meta_corruption_campaign(seeds, base_seed=0, jobs=1, config=None,
     result = MetaCampaignResult()
     payloads = [(base_seed + i, config.to_dict(), "corrupt")
                 for i in range(seeds)]
-    collector = CampaignResult()
-
-    def _collect(outcome):
-        if outcome.status.startswith("meta-reject:"):
-            result.rejected.append(outcome)
-        elif outcome.status == "clean":
-            result.silent.append(outcome)
-        else:
-            result.caught.append(outcome)
-        if progress:
-            progress(outcome)
-
     _events.emit("meta_campaign.begin", seeds=seeds, base_seed=base_seed,
                  jobs=jobs)
     with _span("fuzz.meta_campaign", seeds=seeds, jobs=jobs):
-        if jobs > 1:
-            _parallel_outcomes(payloads, jobs, collector,
-                               lambda: False, _collect)
-        else:
-            _serial_outcomes(payloads, collector, lambda: False, _collect)
+        for outcome in _outcomes(payloads, jobs):
+            if outcome.status.startswith("meta-reject:"):
+                result.rejected.append(outcome)
+            elif outcome.status == "clean":
+                result.silent.append(outcome)
+            else:
+                result.caught.append(outcome)
+            if progress:
+                progress(outcome)
     _events.emit("meta_campaign.end", seeds=seeds,
                  rejected=len(result.rejected), caught=len(result.caught),
                  silent=len(result.silent), ok=result.ok)

@@ -24,14 +24,15 @@ caller passed an explicit ``trace_id``.
 Event taxonomy (producers; see DESIGN.md §5h):
 
 * serve daemon — ``daemon.start``, ``request.admit``,
-  ``request.finish``, ``request.error``, ``request.requeued``,
-  ``coalesce.leader``/``coalesce.loser``, ``worker.death``,
+  ``request.finish``, ``request.error`` (exactly one of the two per
+  admit), ``coalesce.leader``/``coalesce.loser``, ``worker.death``,
   ``worker.restart``, ``worker.degraded``, ``drain.begin``,
   ``drain.finish``;
 * fuzz campaigns — ``campaign.begin``, ``fuzz.seed`` (per-seed
   classification with stage timings), ``campaign.end``.
 """
 
+import collections
 import json
 import os
 import threading
@@ -255,7 +256,16 @@ class TraceRecord:
 
     @property
     def attempts(self):
-        return self.finish.get("attempts", 0) if self.finish else 0
+        """Retries: the extra ``request.admit`` events of one op that
+        one process logged for this trace (each admit names its
+        ``pid``).  A merged gateway+shard log holds one admit per
+        process per attempt, so the hop between processes never reads
+        as a retry, and neither do the different ops a trace can span
+        (a hot restart's ``ping`` and ``warm`` of its replacement)."""
+        admits = collections.Counter(
+            (event.get("pid"), event.get("op")) for event in self.events
+            if event.get("kind") == "request.admit")
+        return max(admits.values(), default=1) - 1
 
     @property
     def spans(self):
@@ -332,8 +342,7 @@ def render_trace(record):
     if record.attempts:
         lines.append("  retried %d time(s)" % record.attempts)
     for event in record.events:
-        if event.get("kind") in ("request.requeued", "coalesce.loser",
-                                 "coalesce.leader"):
+        if event.get("kind") in ("coalesce.loser", "coalesce.leader"):
             lines.append("  %s %s" % (event["kind"],
                                       event.get("key", "")))
     return "\n".join(lines)

@@ -24,10 +24,10 @@ Schema ``repro.obs/1``::
                  incremental_rate, solve },  # incremental fact store
       "meta": { present, trusted, rejects, trust_rate,
                 reject_reasons: {reason: int} },  # .eel.meta trust path
-      "serve": { requests, ok, errors, rejected, timeouts, retries,
+      "serve": { requests, ok, errors, rejected, timeouts,
                  coalesced, degraded, worker_deaths, ok_rate,
                  latency, queue_wait },
-      "fleet": { requests, forwarded, rerouted, retries, rejected,
+      "fleet": { requests, forwarded, rerouted, rejected,
                  shard_deaths, respawns, hot_restarts, forward_rate,
                  queues: {interactive, bulk}, queue_wait,
                  shards: {id: {...}} },  # shards filled by a gateway
@@ -64,21 +64,21 @@ for _name in ("hits", "misses", "stores", "invalidations", "evictions",
 # still carries the full, zero-valued key set.
 for _name in ("requests", "responses.ok", "responses.error",
               "rejected.queue_full", "rejected.draining", "timeouts",
-              "retries", "coalesced", "degraded", "worker_deaths"):
+              "coalesced", "degraded", "worker_deaths"):
     metrics.counter("serve." + _name)
 
 # Same for the verify subsystem: lints, cosimulation, and verdict
 # memoization report through these whether or not a verify ever runs.
 for _name in ("runs", "passed", "failed", "lints_run", "findings",
               "cosim_syncs", "cosim_divergences", "memo_hits",
-              "memo_misses", "parallel_fallbacks"):
+              "memo_misses"):
     metrics.counter("verify." + _name)
 
 # The fleet gateway: forwarding outcomes and lifecycle counters, so a
 # gateway's --stats-json (and the `stats` op it serves) always carries
 # the full key set, and a non-gateway process reports them as zeros.
-for _name in ("requests", "forwarded", "rerouted", "retries",
-              "rejected", "shard_deaths", "respawns", "hot_restarts"):
+for _name in ("requests", "forwarded", "rerouted", "rejected",
+              "shard_deaths", "respawns", "hot_restarts"):
     metrics.counter("fleet." + _name)
 
 # And the simulator engines: the prepared-op flyweight (per-instruction
@@ -218,7 +218,6 @@ def serve_section(counters, histograms=None):
         "errors": counters.get("serve.responses.error", 0),
         "rejected": rejected,
         "timeouts": counters.get("serve.timeouts", 0),
-        "retries": counters.get("serve.retries", 0),
         "coalesced": counters.get("serve.coalesced", 0),
         "degraded": counters.get("serve.degraded", 0),
         "worker_deaths": counters.get("serve.worker_deaths", 0),
@@ -246,7 +245,6 @@ def fleet_section(counters, gauges=None, histograms=None):
         "requests": requests,
         "forwarded": forwarded,
         "rerouted": counters.get("fleet.rerouted", 0),
-        "retries": counters.get("fleet.retries", 0),
         "rejected": counters.get("fleet.rejected", 0),
         "shard_deaths": counters.get("fleet.shard_deaths", 0),
         "respawns": counters.get("fleet.respawns", 0),

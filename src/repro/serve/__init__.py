@@ -11,18 +11,21 @@ response object per line).
 
 Layers:
 
-* :mod:`repro.serve.config`   — ``ServeConfig``: knobs from CLI flags
+* :mod:`repro.serve.config`    — ``ServeConfig``: knobs from CLI flags
   and defensively parsed ``REPRO_SERVE_*`` environment variables;
-* :mod:`repro.serve.protocol` — wire format: framing, error codes,
+* :mod:`repro.serve.protocol`  — wire format: framing, error codes,
   request/response builders;
-* :mod:`repro.serve.ops`      — request handlers (tool dispatch by
+* :mod:`repro.serve.ops`       — request handlers (tool dispatch by
   name, warm-analysis coalescing);
-* :mod:`repro.serve.daemon`   — ``EditServer``: bounded admission
-  queue with backpressure, worker pool with per-request timeouts and
-  bounded retry-with-backoff, graceful SIGTERM drain, and degraded
-  serial fallback when the pool is unhealthy;
-* :mod:`repro.serve.client`   — ``ServeClient`` plus the ``repro
-  client`` command.
+* :mod:`repro.serve.admission` — the bounded admission queue (one
+  FIFO class for a daemon, interactive/bulk for the fleet gateway);
+* :mod:`repro.serve.frontdoor` — what the daemon and the fleet gateway
+  share: listener, intake, admission, per-request timeouts, in-flight
+  accounting, graceful drain, and the foreground runner;
+* :mod:`repro.serve.daemon`    — ``EditServer``: the worker pool with
+  its restart budget and degraded serial fallback;
+* :mod:`repro.serve.client`    — ``ServeClient`` (the stack's only
+  retrier) plus the ``repro client`` command.
 
 Failure semantics (the contract the tests pin):
 
@@ -30,8 +33,9 @@ Failure semantics (the contract the tests pin):
   admission queue is bounded, it never grows without limit;
 * request too slow  -> ``timeout`` error; the worker's result, if it
   ever arrives, is dropped;
-* transient faults  -> retried inside the daemon with exponential
-  backoff, at most ``retries`` times (cache races, worker death);
+* transient faults  -> a handler's ``OSError`` (cache races) and the
+  death of the worker running a request answer ``internal`` with
+  ``retry_after``; the daemon fails fast and the *client* retries;
 * worker death      -> the worker is restarted from a bounded restart
   budget; with no live workers left the daemon *degrades* to serial
   in-process execution instead of going dark;

@@ -1,4 +1,4 @@
-"""Gateway admission: two priority classes with a starvation bound.
+"""Admission: a bounded queue with two priority classes.
 
 Interactive traffic (``run``, ``disasm``, ``instrument`` — a human or
 tool waiting on the answer) dispatches ahead of bulk traffic
@@ -10,8 +10,12 @@ work waited, the next dispatch is bulk regardless.  The worst-case
 bulk wait is therefore ``starvation_limit`` interactive requests —
 bounded, and tested (``test_fleet.py``).
 
+The fleet gateway admits by class; a daemon passes ``bulk_ops=()``, so
+every job lands in one class and its queue is plain FIFO (a shard
+behind a gateway must not reorder what the gateway already ordered).
+
 The queue is bounded as a whole (both classes share one budget);
-``put`` returning False is the gateway's ``overloaded`` signal.
+``put`` returning False is the server's ``overloaded`` signal.
 """
 
 import threading
@@ -32,9 +36,10 @@ def priority_class(op):
 class AdmissionQueue:
     """Bounded two-class queue with aged (bounded-starvation) dispatch."""
 
-    def __init__(self, maxsize, starvation_limit=8):
+    def __init__(self, maxsize, starvation_limit=8, bulk_ops=BULK_OPS):
         self.maxsize = maxsize
         self.starvation_limit = starvation_limit
+        self.bulk_ops = bulk_ops
         self._interactive = deque()
         self._bulk = deque()
         self._lock = threading.Lock()
@@ -46,7 +51,7 @@ class AdmissionQueue:
     # ------------------------------------------------------------------
     def put(self, item, op=None):
         """Admit *item* under *op*'s class; False when the queue is full."""
-        bulk = priority_class(op) == "bulk"
+        bulk = op in self.bulk_ops
         with self._nonempty:
             if len(self._interactive) + len(self._bulk) >= self.maxsize:
                 return False
@@ -55,7 +60,7 @@ class AdmissionQueue:
             return True
 
     def put_control(self, item):
-        """Admit a control item (worker STOP sentinel) past the bound,
+        """Admit a control item (executor STOP sentinel) past the bound,
         at the front — shutdown must never block on a full queue."""
         with self._nonempty:
             self._interactive.appendleft(item)
@@ -76,16 +81,11 @@ class AdmissionQueue:
                                or self._streak >= self.starvation_limit):
                 self._streak = 0
                 return self._bulk.popleft()
-            if self._interactive:
-                # The streak ages bulk work only while it is waiting;
-                # interactive dispatches from an empty bulk queue are
-                # not starving anyone.
-                self._streak = self._streak + 1 if self._bulk else 0
-                return self._interactive.popleft()
-            if self._bulk:
-                self._streak = 0
-                return self._bulk.popleft()
-            return None
+            # The streak ages bulk work only while it is waiting;
+            # interactive dispatches from an empty bulk queue are not
+            # starving anyone.
+            self._streak = self._streak + 1 if self._bulk else 0
+            return self._interactive.popleft()
 
     # ------------------------------------------------------------------
     def depths(self):

@@ -3,12 +3,12 @@
 ``ServeClient`` keeps a persistent connection and issues one request
 at a time (concurrency comes from multiple clients/connections, which
 is how the daemon's admission queue is meant to be exercised).  The
-client honors the daemon's backpressure contract: ``overloaded``,
-``timeout``, and ``draining`` errors carry ``retry_after`` hints and
-are retried with bounded client-side backoff (each delay capped at
-``max_retry_after``) up to ``retries`` attempts; everything else
-raises :class:`ServeError` immediately.  How hard the client had to
-work is surfaced as response metadata: :attr:`ServeClient.last_meta`
+client is the serving stack's only retrier, and it retries exactly the
+answers that carry a ``retry_after`` hint — the servers attach one
+only when a fresh attempt can land (see :mod:`repro.serve.protocol`).
+It backs off by the hint (each delay capped at ``max_retry_after``)
+up to ``retries`` times; every other answer raises
+:class:`ServeError` immediately.  How hard the client had to work is surfaced as response metadata: :attr:`ServeClient.last_meta`
 records the attempt count, total backoff, and serving shard of the
 most recent request, and any request that needed more than one attempt
 gets the same record injected into its result dict under ``"_meta"``.
@@ -26,12 +26,7 @@ import time
 from repro.obs import context as _context
 from repro.obs import trace as _trace
 from repro.serve.config import ServeConfig, default_socket_path
-from repro.serve.protocol import (
-    CLIENT_RETRYABLE,
-    LineReader,
-    ProtocolError,
-    encode,
-)
+from repro.serve.protocol import LineReader, ProtocolError, encode
 
 
 def parse_address(address):
@@ -123,7 +118,8 @@ class ServeClient:
 
     # ------------------------------------------------------------------
     def request(self, op, **params):
-        """Result dict of *op*; retries backpressure, raises ServeError.
+        """Result dict of *op*; retries answers that carry
+        ``retry_after``, raises ServeError.
 
         Every request travels under a trace context: the caller's
         attached context when one exists (so daemon-side spans hang
@@ -162,11 +158,9 @@ class ServeClient:
                 error = response.get("error") or {}
                 code = error.get("code", "internal")
                 retry_after = response.get("retry_after")
-                if code in CLIENT_RETRYABLE and attempt < self.retries:
+                if retry_after is not None and attempt < self.retries:
                     attempt += 1
-                    delay = min(retry_after
-                                if retry_after is not None else 0.1,
-                                self.max_retry_after)
+                    delay = min(retry_after, self.max_retry_after)
                     backoff_total += delay
                     time.sleep(delay)
                     continue

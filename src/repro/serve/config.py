@@ -26,9 +26,8 @@ class ServeConfig:
     """
 
     def __init__(self, socket_path=None, jobs=None, queue_size=None,
-                 timeout_s=None, retries=None, backoff_s=None,
-                 retry_after_s=None, restarts=None, warm_cap=None,
-                 drain_timeout_s=None, chaos=None, events_path=None,
+                 timeout_s=None, retry_after_s=None, restarts=None,
+                 warm_cap=None, drain_timeout_s=None, events_path=None,
                  shard_id=None):
         env = os.environ
         self.socket_path = socket_path or env.get("REPRO_SERVE_SOCKET") \
@@ -48,10 +47,6 @@ class ServeConfig:
             else env_int("REPRO_SERVE_QUEUE", 32, minimum=1)
         self.timeout_s = timeout_s if timeout_s is not None \
             else env_float("REPRO_SERVE_TIMEOUT", 60.0, minimum=0.01)
-        self.retries = retries if retries is not None \
-            else env_int("REPRO_SERVE_RETRIES", 2, minimum=0)
-        self.backoff_s = backoff_s if backoff_s is not None \
-            else env_float("REPRO_SERVE_BACKOFF", 0.05, minimum=0.0)
         self.retry_after_s = retry_after_s if retry_after_s is not None \
             else env_float("REPRO_SERVE_RETRY_AFTER", 0.1, minimum=0.0)
         self.restarts = restarts if restarts is not None \
@@ -61,12 +56,3 @@ class ServeConfig:
         self.drain_timeout_s = drain_timeout_s \
             if drain_timeout_s is not None \
             else env_float("REPRO_SERVE_DRAIN_TIMEOUT", 30.0, minimum=0.1)
-        # Chaos ops (deliberate sleep/death/flakiness) exist so the
-        # lifecycle tests can exercise timeout, retry, and degradation
-        # paths deterministically; off unless explicitly enabled.
-        self.chaos = chaos if chaos is not None \
-            else env.get("REPRO_SERVE_CHAOS", "") in ("1", "on", "yes")
-
-    def backoff_for(self, attempt):
-        """Exponential backoff delay before retry *attempt* (1-based)."""
-        return self.backoff_s * (2 ** max(0, attempt - 1))

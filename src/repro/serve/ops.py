@@ -2,12 +2,12 @@
 
 Handlers take ``(server, params)`` and return a JSON-ready result
 dict.  Client mistakes raise :class:`OpError` (mapped to an error
-response, never retried); infrastructure hiccups raise
-:class:`TransientOpError` (retried by the worker with backoff);
-:class:`WorkerDeath` kills the executing worker thread — it exists so
-the chaos op and the tests can exercise the restart/degradation path,
-and so a genuinely fatal handler bug takes out one worker rather than
-wedging it.
+response without ``retry_after``, so no client retries it); a
+handler's ``OSError`` (a cache-directory race, a filesystem flake)
+becomes ``internal`` *with* ``retry_after``, because a fresh attempt
+usually lands.  :class:`WorkerDeath` kills the executing worker thread
+— the contract of the restart/degradation path, so a genuinely fatal
+handler bug takes out one worker rather than wedging it.
 
 Requests reference executables either by ``workload`` name (built
 through the in-process corpus, warm after first use) or by ``image``
@@ -18,14 +18,12 @@ from the warm summary it leaves behind.
 """
 
 import base64
-import time
 
 from repro.obs import metrics as _metrics
 from repro.obs.trace import span as _span
 from repro.serve.protocol import (
     E_BAD_REQUEST,
     E_INTERNAL,
-    E_UNAVAILABLE,
     E_UNKNOWN_OP,
     PROTOCOL,
 )
@@ -34,16 +32,13 @@ _C_COALESCED = _metrics.counter("serve.coalesced")
 
 
 class OpError(Exception):
-    """Client-visible request failure (not retried)."""
+    """Client-visible request failure; retried only with *retry_after*."""
 
-    def __init__(self, code, message):
+    def __init__(self, code, message, retry_after=None):
         super().__init__(message)
         self.code = code
         self.message = message
-
-
-class TransientOpError(Exception):
-    """Infrastructure failure worth retrying with backoff."""
+        self.retry_after = retry_after
 
 
 class WorkerDeath(Exception):
@@ -239,9 +234,9 @@ def _op_verify(server, params):
 
 
 def _op_stats(server, params):
-    from repro.obs import report as obs_report
-
-    report = obs_report.build_report()
+    """The server's report, narrowed to ``sections`` when given — the
+    one check both the daemon and the fleet gateway apply."""
+    report = server.build_report()
     sections = params.get("sections")
     if sections is not None:
         if not isinstance(sections, list) \
@@ -302,27 +297,6 @@ def _op_warm(server, params):
     return {"warmed": warmed, "skipped": skipped}
 
 
-def _op_chaos(server, params):
-    """Deliberate failures for the lifecycle tests (config-gated)."""
-    if not server.config.chaos:
-        raise OpError(E_UNAVAILABLE, "chaos ops are disabled "
-                                     "(set REPRO_SERVE_CHAOS=1)")
-    kind = params.get("kind")
-    if kind == "sleep":
-        seconds = float(params.get("seconds", 0.1))
-        time.sleep(seconds)
-        return {"slept": seconds}
-    if kind == "die":
-        raise WorkerDeath("chaos-requested worker death")
-    if kind == "flaky":
-        fails = int(params.get("fails", 1))
-        attempts = server.chaos_attempts(params.get("key", "flaky"))
-        if attempts <= fails:
-            raise TransientOpError("chaos flake %d/%d" % (attempts, fails))
-        return {"attempts": attempts}
-    raise OpError(E_BAD_REQUEST, "unknown chaos kind %r" % (kind,))
-
-
 HANDLERS = {
     "ping": _op_ping,
     "routines": _op_routines,
@@ -334,7 +308,6 @@ HANDLERS = {
     "top": _op_top,
     "handoff": _op_handoff,
     "warm": _op_warm,
-    "chaos": _op_chaos,
 }
 
 
@@ -347,12 +320,13 @@ def dispatch(server, op, params):
     with _span("serve.op", op=op):
         try:
             return handler(server, params)
-        except (OpError, TransientOpError, WorkerDeath):
+        except (OpError, WorkerDeath):
             raise
         except OSError as error:
             # Cache-directory races and other filesystem flakes are the
             # canonical transient class; a clean retry usually lands.
-            raise TransientOpError("transient I/O failure: %s" % error)
+            raise OpError(E_INTERNAL, "transient I/O failure: %s" % error,
+                          retry_after=server.config.retry_after_s)
         except Exception as error:
             raise OpError(E_INTERNAL, "%s: %s"
                           % (type(error).__name__, error))

@@ -9,12 +9,19 @@ responses are either::
     {"id": ..., "ok": false, "error": {"code": "...", "message": "..."},
      "retry_after": seconds?}
 
-``retry_after`` appears only on errors worth retrying (``overloaded``,
-``timeout``, ``draining``): it is the daemon telling the client when
-the attempt is likely to succeed.  ``draining`` became retryable with
-the fleet: a draining shard is usually seconds away from a warm
-replacement answering on the same gateway, so a client that backs off
-briefly lands instead of failing.  Lines are capped at
+``retry_after`` appears only on errors worth retrying, and
+:class:`~repro.serve.client.ServeClient` retries exactly those:
+
+* ``overloaded``, ``timeout``, ``draining`` — the server's own refusals
+  (a draining fleet shard is usually seconds away from a warm
+  replacement answering on the same gateway);
+* ``unavailable`` from a gateway — no live shard, or the routed shard
+  stopped answering (the retry routes to the key's next live shard);
+* ``internal`` when the request itself never completed — a handler's
+  ``OSError`` or the death of the worker running it.
+
+Client mistakes (``bad_request``, ``unknown_op``) and handler failures
+carry no hint.  No server retries on its own.  Lines are capped at
 :data:`MAX_LINE` bytes so a corrupt or hostile peer cannot grow a read
 buffer without bound.
 
@@ -45,16 +52,8 @@ E_UNKNOWN_OP = "unknown_op"      # op name not in the registry
 E_OVERLOADED = "overloaded"      # admission queue full; retry later
 E_DRAINING = "draining"          # daemon shutting down / being replaced
 E_TIMEOUT = "timeout"            # per-request deadline expired
-E_UNAVAILABLE = "unavailable"    # op needs state the daemon lacks
-E_INTERNAL = "internal"          # handler raised; retries exhausted
-
-# Codes the *daemon* attaches retry_after hints to when rejecting.
-RETRYABLE = (E_OVERLOADED, E_TIMEOUT)
-
-# Codes a *client* should back off and retry: the two above, plus
-# draining — under a fleet, a draining shard is mid-hot-restart and a
-# warm replacement is about to take over the same address.
-CLIENT_RETRYABLE = RETRYABLE + (E_DRAINING,)
+E_UNAVAILABLE = "unavailable"    # no live shard can take the request
+E_INTERNAL = "internal"          # handler raised, or its worker died
 
 
 class ProtocolError(Exception):

@@ -201,29 +201,14 @@ def verify_workload(name, tool="qpt", mode="edge", stdin_text="",
                           label="%s[%s]" % (name, tool))
 
 
-def _verify_counters():
-    return {name: instrument.snapshot()
-            for name, instrument in _metrics.REGISTRY.counters.items()
-            if name.startswith("verify.")}
-
-
 def _verify_worker(payload):
-    """Process-pool worker: verify one workload.
-
-    Returns ``(name, ok, text, counters)`` where *counters* holds the
-    ``verify.*`` counter increments this task caused — a pool child
-    counts in its own process, so the parent merges the deltas to keep
-    ``--stats-json`` meaningful under ``--jobs``.
+    """Verify one workload: ``(name, ok, text)``, never raising (the
+    ``repro verify --jobs`` pool worker, see :func:`repro.pool.fan_out`).
     """
     name, tool, mode, use_memo, stdin_text = payload
-    before = _verify_counters()
     try:
         result = verify_workload(name, tool=tool, mode=mode,
                                  use_memo=use_memo, stdin_text=stdin_text)
-        outcome = (name, result.ok, result.render())
+        return name, result.ok, result.render()
     except Exception as error:
-        outcome = (name, False, "%s: ERROR %s" % (name, error))
-    after = _verify_counters()
-    deltas = {key: after[key] - before.get(key, 0) for key in after
-              if after[key] != before.get(key, 0)}
-    return outcome + (deltas,)
+        return name, False, "%s: ERROR %s" % (name, error)

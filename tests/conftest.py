@@ -23,3 +23,16 @@ def _hermetic_analysis_cache(tmp_path_factory):
         yield
     finally:
         os.environ.pop("REPRO_CACHE_DIR", None)
+
+
+@pytest.fixture
+def fault_ops():
+    """The fault-injection ops of ``tests/faults.py``, registered for
+    in-process servers for the duration of one test."""
+    from tests import faults
+
+    faults.register()
+    try:
+        yield faults
+    finally:
+        faults.unregister()

@@ -214,3 +214,34 @@ def test_fuzz_corpus_only_happy_path(tmp_path, capsys):
     assert main(["fuzz", "--corpus-only", "--corpus", corpus]) == 1
     captured = capsys.readouterr()
     assert "missing field" in captured.err
+
+
+@pytest.mark.parametrize("argv", [["verify", "--all", "--no-memo"],
+                                  ["fuzz", "--seeds", "6"]],
+                         ids=["verify", "fuzz"])
+def test_jobs_reports_every_counter_of_a_serial_run(tmp_path, argv):
+    """Pool children's counters all reach ``--stats-json``: counters
+    are deterministic, so every one of them equals the serial run's,
+    except the pool-fallback count.  Each run is a fresh process with
+    the analysis cache off."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+    env = dict(os.environ, REPRO_CACHE="off", PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    reports = []
+    for jobs in (1, 2):
+        stats = tmp_path / ("stats-%d.json" % jobs)
+        subprocess.run([sys.executable, "-m", "repro.cli", *argv,
+                        "--jobs", str(jobs), "--stats-json", str(stats)],
+                       env=env, cwd=str(tmp_path), check=True,
+                       capture_output=True)
+        counters = json.loads(stats.read_text())["counters"]
+        counters.pop("pool.fallbacks", None)
+        reports.append(counters)
+    assert reports[0]["cfg.builds"] > 0
+    assert reports[0]["sim.instructions"] > 0
+    assert reports[0] == reports[1]

@@ -307,3 +307,11 @@ def test_gateway_rejects_while_draining(make_fleet):
         assert err.value.retry_after is not None
     assert gateway.wait_drained(30.0)
     assert not os.path.exists(gateway.config.address)
+
+
+def test_gateway_wait_ends_before_the_client_io_timeout():
+    """The gateway forwards once, so a requester waits one shard
+    timeout plus a margin: a hung shard reaches the client as the
+    gateway's typed ``timeout``, not as the client's socket timeout."""
+    gateway = FleetGateway(FleetConfig(shard_timeout_s=60.0))
+    assert 60.0 < gateway.wait_s < ServeClient().io_timeout

@@ -252,13 +252,12 @@ def test_report_schema_stability(tmp_path):
     assert sorted(built["cache"]["latency"]) == ["load", "store"]
     assert sorted(built["serve"]) == [
         "coalesced", "degraded", "errors", "latency", "ok", "ok_rate",
-        "queue_wait", "rejected", "requests", "retries", "timeouts",
-        "worker_deaths",
+        "queue_wait", "rejected", "requests", "timeouts", "worker_deaths",
     ]
     assert sorted(built["fleet"]) == [
         "forward_rate", "forwarded", "hot_restarts", "queue_wait",
         "queues", "rejected", "requests", "rerouted", "respawns",
-        "retries", "shard_deaths", "shards",
+        "shard_deaths", "shards",
     ]
     assert built["fleet"]["shards"] == {}  # populated only by a gateway
     assert sorted(built["sim"]) == [

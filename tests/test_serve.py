@@ -23,6 +23,7 @@ from repro.serve.client import ServeClient, ServeError, wait_for_daemon
 from repro.serve import protocol
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
+FAULTS = os.path.join(os.path.dirname(__file__), "faults.py")
 
 
 def _counter(name):
@@ -206,47 +207,21 @@ def test_concurrent_same_image_requests_coalesce(make_server, monkeypatch,
 
 
 # ----------------------------------------------------------------------
-# Backpressure, timeout, retry
+# Backpressure, timeout, retry (a full queue and stale or live sockets
+# are cells of tests/test_fault_matrix.py)
 # ----------------------------------------------------------------------
 
-def test_queue_full_rejects_with_retry_after(make_server):
-    server = make_server(jobs=1, queue_size=1, chaos=True,
-                         retry_after_s=0.05)
-    blockers = []
-
-    def blocker():
-        with _client(server) as client:
-            blockers.append(client.request("chaos", kind="sleep",
-                                           seconds=1.0))
-
-    threads = [threading.Thread(target=blocker) for _ in range(2)]
-    for thread in threads:
-        thread.start()
-        time.sleep(0.15)  # one executing, one occupying the queue slot
-    with _client(server) as client:
-        with pytest.raises(ServeError) as err:
-            client.request("chaos", kind="sleep", seconds=0.1)
-    assert err.value.code == protocol.E_OVERLOADED
-    assert err.value.retry_after == pytest.approx(0.05)
-    for thread in threads:
-        thread.join(30)
-    assert len(blockers) == 2  # admitted work still completed
-    assert _counter("serve.rejected.queue_full") >= 1
-
-
-def test_client_retries_through_backpressure(make_server):
+def test_client_retries_through_backpressure(make_server, fault_ops):
     """Bounded queue + client retry-after loop: every request lands
     eventually even when the queue is 1 deep."""
-    server = make_server(jobs=1, queue_size=1, chaos=True,
-                         retry_after_s=0.05)
+    server = make_server(jobs=1, queue_size=1, retry_after_s=0.05)
     outcomes = []
     errors = []
 
     def one(index):
         try:
             with _client(server, retries=40) as client:
-                outcomes.append(client.request("chaos", kind="sleep",
-                                               seconds=0.1))
+                outcomes.append(client.request("sleep", seconds=0.1))
         except Exception as error:  # noqa: BLE001
             errors.append(error)
 
@@ -259,11 +234,12 @@ def test_client_retries_through_backpressure(make_server):
     assert len(outcomes) == 4
 
 
-def test_request_timeout_reported_and_worker_result_dropped(make_server):
-    server = make_server(jobs=1, timeout_s=0.2, chaos=True)
+def test_request_timeout_reported_and_worker_result_dropped(make_server,
+                                                           fault_ops):
+    server = make_server(jobs=1, timeout_s=0.2)
     with _client(server) as client:
         with pytest.raises(ServeError) as err:
-            client.request("chaos", kind="sleep", seconds=0.8)
+            client.request("sleep", seconds=0.8)
         assert err.value.code == protocol.E_TIMEOUT
         # The daemon recovers: the slot frees once the sleeper finishes.
         time.sleep(0.8)
@@ -271,36 +247,44 @@ def test_request_timeout_reported_and_worker_result_dropped(make_server):
     assert _counter("serve.timeouts") >= 1
 
 
-def test_transient_failures_retry_with_backoff(make_server):
-    server = make_server(jobs=1, chaos=True, retries=2, backoff_s=0.01)
-    before = _counter("serve.retries")
-    with _client(server) as client:
-        result = client.request("chaos", kind="flaky", fails=2,
-                                key="retry-me")
-    assert result["attempts"] == 3  # failed twice, succeeded on retry 2
-    assert _counter("serve.retries") - before == 2
+def test_transient_failures_retry_with_backoff(make_server, fault_ops):
+    """The daemon fails fast: a handler's OSError answers ``internal``
+    with ``retry_after``, and the client — the only retrier — backs off
+    by the hint and lands."""
+    server = make_server(jobs=1, retry_after_s=0.01)
+    errors_before = _counter("serve.responses.error")
+    with _client(server, retries=2) as client:
+        result = client.request("oserror", times=2, key="retry-me")
+        assert result["recovered"] is True
+        assert result["_meta"]["attempts"] == 3  # failed twice, then ok
+        assert result["_meta"]["backoff_s"] == pytest.approx(0.02)
+    assert _counter("serve.responses.error") - errors_before == 2
     # Exhausted retries surface as a clean internal error, not a hang.
-    with _client(server) as client:
+    with _client(server, retries=2) as client:
         with pytest.raises(ServeError) as err:
-            client.request("chaos", kind="flaky", fails=99,
-                           key="never-lands")
+            client.request("oserror", key="never-lands")
         assert err.value.code == protocol.E_INTERNAL
+        assert err.value.retry_after == pytest.approx(0.01)
+        assert client.last_meta["attempts"] == 3
 
 
 # ----------------------------------------------------------------------
 # Worker death, restart budget, degraded serial fallback
 # ----------------------------------------------------------------------
 
-def test_worker_death_restarts_then_degrades_to_serial(make_server):
-    server = make_server(jobs=1, chaos=True, retries=0, restarts=1)
-    # Each chaos death kills the worker: the first is replaced from the
+def test_worker_death_restarts_then_degrades_to_serial(make_server,
+                                                       fault_ops):
+    server = make_server(jobs=1, restarts=1)
+    # Each death kills the worker: the first is replaced from the
     # restart budget, the second exhausts it and flips the daemon into
-    # serial fallback mode.
+    # serial fallback mode.  The request a worker died on is answered
+    # ``internal`` with ``retry_after``: it never completed.
     for _ in range(2):
         with _client(server) as client:
             with pytest.raises(ServeError) as err:
-                client.request("chaos", kind="die")
+                client.request("die")
             assert err.value.code == protocol.E_INTERNAL
+            assert err.value.retry_after is not None
     deadline = time.monotonic() + 5.0
     while time.monotonic() < deadline:
         if server.describe()["degraded"]:
@@ -312,8 +296,9 @@ def test_worker_death_restarts_then_degrades_to_serial(make_server):
         assert client.ping()["pong"] is True
         assert client.run_workload("fib")["exit_code"] == 0
         # Even another death cannot kill the fallback worker.
-        with pytest.raises(ServeError):
-            client.request("chaos", kind="die")
+        with pytest.raises(ServeError) as err:
+            client.request("die")
+        assert err.value.retry_after is not None
         assert client.ping()["pong"] is True
     assert _counter("serve.worker_deaths") >= 3
     assert _counter("serve.degraded") >= 3
@@ -346,14 +331,15 @@ def test_shutdown_op_drains(make_server):
 def test_sigterm_drains_cleanly_with_stats_flush(tmp_path):
     """The real CLI daemon: SIGTERM finishes in-flight work, flushes
     serve.* counters to --stats-json, exits 0, and leaves no orphaned
-    processes or stale socket."""
+    processes or stale socket.  It starts through the fault-ops
+    launcher, which serves the ``sleep`` op on top of ``repro serve``."""
     sock = str(tmp_path / "d.sock")
     stats = str(tmp_path / "stats.json")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [SRC, os.environ.get("PYTHONPATH")])))
     proc = subprocess.Popen(
-        [sys.executable, "-m", "repro.cli", "serve", "--socket", sock,
-         "--jobs", "2", "--chaos", "--stats-json", stats],
+        [sys.executable, FAULTS, "serve", "--socket", sock,
+         "--jobs", "2", "--stats-json", stats],
         env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
     try:
         assert wait_for_daemon(sock, timeout=30.0), "daemon never came up"
@@ -364,8 +350,8 @@ def test_sigterm_drains_cleanly_with_stats_flush(tmp_path):
 
         def slow():
             with ServeClient(sock) as client:
-                slow_result["result"] = client.request(
-                    "chaos", kind="sleep", seconds=1.0)
+                slow_result["result"] = client.request("sleep",
+                                                       seconds=1.0)
 
         thread = threading.Thread(target=slow)
         thread.start()
@@ -416,39 +402,6 @@ def test_cli_client_without_daemon_fails_cleanly(tmp_path, capsys):
                    str(tmp_path / "nobody-home.sock")])
     assert rc == 1
     assert "cannot reach daemon" in capsys.readouterr().err
-
-
-# ----------------------------------------------------------------------
-# Socket startup: stale paths clobbered, live daemons never robbed
-# ----------------------------------------------------------------------
-
-def test_startup_refuses_to_steal_live_socket(make_server):
-    """Two daemons pointed at one path: the second must refuse, and the
-    first must keep receiving connections (the unlink race fix)."""
-    import errno
-
-    server = make_server()
-    rival = EditServer(ServeConfig(
-        socket_path=server.config.socket_path, jobs=1))
-    with pytest.raises(OSError) as err:
-        rival.start()
-    assert err.value.errno == errno.EADDRINUSE
-    # The incumbent survived the attempted theft.
-    with _client(server) as client:
-        assert client.ping()["pong"] is True
-
-
-def test_startup_clobbers_stale_socket(tmp_path, make_server):
-    """A socket file whose daemon is gone (nothing accepts) is stale:
-    startup unlinks it and binds normally."""
-    path = str(tmp_path / "stale.sock")
-    dead = socket.socket(socket.AF_UNIX, socket.SOCK_STREAM)
-    dead.bind(path)
-    dead.close()  # file remains; connections are refused
-    assert os.path.exists(path)
-    server = make_server(socket_path=path)
-    with _client(server) as client:
-        assert client.ping()["pong"] is True
 
 
 # ----------------------------------------------------------------------
@@ -504,6 +457,27 @@ def test_client_retries_draining_responses():
     result = client.request("ping")
     assert result["pong"] is True
     assert result["_meta"]["attempts"] == 2
+
+
+def test_client_retries_exactly_the_answers_with_retry_after():
+    """The hint decides, not the code: ``unavailable`` with a hint (a
+    fleet with no live shard yet) is retried, ``overloaded`` without
+    one is not."""
+    client = _scripted_peer([
+        lambda req: protocol.error_response(
+            req["id"], protocol.E_UNAVAILABLE, "no live shards",
+            retry_after=0.01),
+        lambda req: protocol.ok_response(req["id"], {"pong": True}),
+    ])
+    assert client.request("ping")["_meta"]["attempts"] == 2
+    client = _scripted_peer([
+        lambda req: protocol.error_response(
+            req["id"], protocol.E_OVERLOADED, "busy"),
+    ])
+    with pytest.raises(ServeError) as err:
+        client.request("ping")
+    assert err.value.code == protocol.E_OVERLOADED
+    assert client.last_meta["attempts"] == 1
 
 
 def test_client_first_attempt_results_carry_no_meta(make_server):
@@ -570,10 +544,12 @@ def test_client_accepts_exact_id_match(make_server):
 # ----------------------------------------------------------------------
 
 def test_chaos_request_yields_single_connected_span_tree(make_server,
-                                                         tmp_path):
-    """Under a multi-worker chaos config, a retried request still
-    produces one span tree with no orphans, rooted at the client's
-    span, with queue-wait and handler latency split out."""
+                                                         tmp_path,
+                                                         fault_ops):
+    """Under a multi-worker daemon, a request the client retried through
+    injected faults still finishes as one span tree with no orphans,
+    with queue-wait and handler latency split out; the log shows one
+    admit per attempt, so `repro trace` counts the retries."""
     from repro import obs
     from repro.obs import events as obs_events
 
@@ -581,12 +557,10 @@ def test_chaos_request_yields_single_connected_span_tree(make_server,
     obs_events.configure(events_path)
     obs.enable()
     try:
-        server = make_server(jobs=2, chaos=True, retries=2,
-                             backoff_s=0.01)
-        with _client(server) as client:
-            result = client.request("chaos", kind="flaky", fails=2,
-                                    key="traced-flake")
-            assert result["attempts"] == 3
+        server = make_server(jobs=2, retry_after_s=0.01)
+        with _client(server, retries=2) as client:
+            result = client.request("oserror", times=2, key="traced-flake")
+            assert result["_meta"]["attempts"] == 3
             run = client.run_workload("fib")
             assert run["exit_code"] == 0
         server.request_drain()
@@ -600,9 +574,13 @@ def test_chaos_request_yields_single_connected_span_tree(make_server,
     finished = [r for r in traces.values() if r.finish is not None]
     assert len(finished) == 2
     by_op = {record.op: record for record in finished}
-    flaky = by_op["chaos"]
+    flaky = by_op["oserror"]
     assert flaky.status == "ok"
     assert flaky.attempts == 2  # two transient failures, then success
+    kinds = [event["kind"] for event in flaky.events
+             if event["kind"].startswith("request.")]
+    assert kinds == ["request.admit", "request.error"] * 2 \
+        + ["request.admit", "request.finish"]
     assert flaky.queue_wait_s is not None and flaky.queue_wait_s >= 0
     assert flaky.handler_s is not None and flaky.handler_s > 0
     for record in finished:

@@ -145,17 +145,26 @@ def test_global_emit_is_noop_until_configured(tmp_path):
 
 def _request_events(trace_id, op="run", status="ok", handler_s=0.01,
                     attempts=0, spans=None):
-    admit = {"ts": 1.0, "kind": "request.admit", "trace_id": trace_id,
-             "op": op, "id": 1, "queue_depth": 0}
+    """One request's events; each of *attempts* retries is an earlier
+    admit the same process turned away as ``overloaded``."""
+    def admit(ts):
+        return {"ts": ts, "kind": "request.admit", "trace_id": trace_id,
+                "op": op, "id": 1, "pid": 100, "queue_depth": 0}
+
+    stream = []
+    for attempt in range(attempts):
+        stream += [admit(0.1 * attempt),
+                   {"ts": 0.1 * attempt, "kind": "request.error",
+                    "trace_id": trace_id, "op": op, "id": 1,
+                    "code": "overloaded"}]
     kind = "request.finish" if status == "ok" else "request.error"
     finish = {"ts": 2.0, "kind": kind, "trace_id": trace_id, "op": op,
-              "id": 1, "queue_wait_s": 0.001, "handler_s": handler_s,
-              "attempts": attempts}
+              "id": 1, "queue_wait_s": 0.001, "handler_s": handler_s}
     if status != "ok":
         finish["code"] = status
     if spans is not None:
         finish["spans"] = spans
-    return [admit, finish]
+    return stream + [admit(1.0), finish]
 
 
 def test_build_traces_pairs_admit_with_finish():
@@ -200,6 +209,20 @@ def test_render_trace_shows_tree_and_latency_split():
     assert "retried 1 time(s)" in text
 
 
+def test_admits_from_two_processes_are_not_a_retry():
+    """A merged gateway+shard log holds one admit per process for one
+    attempt; only one process admitting one op again is a retry."""
+    gateway = _request_events("hop")
+    shard = [dict(event, pid=200) for event in _request_events("hop")]
+    assert events.build_traces(gateway + shard)["hop"].attempts == 0
+    assert events.find_anomalies(gateway + shard) == []
+    retried = [dict(event, pid=200)
+               for event in _request_events("hop", attempts=2)]
+    assert events.build_traces(gateway + retried)["hop"].attempts == 2
+    warmed = _request_events("hop") + _request_events("hop", op="warm")
+    assert events.build_traces(warmed)["hop"].attempts == 0
+
+
 # ----------------------------------------------------------------------
 # Anomaly flagging
 # ----------------------------------------------------------------------
@@ -210,7 +233,7 @@ def test_find_anomalies_flags_outliers_retries_and_degradation():
         stream += _request_events("fast%d" % index, handler_s=0.010)
     stream += _request_events("slow", handler_s=0.500)
     stream += _request_events("againful", attempts=2)
-    stream.append({"ts": 50.0, "kind": "worker.death", "op": "chaos"})
+    stream.append({"ts": 50.0, "kind": "worker.death", "op": "run"})
     stream.append({"ts": 51.0, "kind": "worker.degraded"})
     stream.append({"ts": 60.0, "kind": "drain.finish", "clean": True})
     anomalies = events.find_anomalies(stream)
