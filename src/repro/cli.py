@@ -9,7 +9,7 @@
     python -m repro.cli profile <exe.eelf> <out.eelf> [--mode block|edge]
     python -m repro.cli cachesim <exe.eelf>
     python -m repro.cli stats  <exe.eelf> [--no-run]
-    python -m repro.cli verify <workload> [--all] [--tool qpt|sfi|elsie]
+    python -m repro.cli verify <workload> [--all] [--tool NAME]
     python -m repro.cli fuzz   [--seeds N] [--jobs N] [--corpus-only]
     python -m repro.cli serve  [--socket PATH] [--jobs N] [--queue N]
     python -m repro.cli fleet  [--address ADDR] [--shards N] [--events PATH]
@@ -40,6 +40,7 @@ from repro.asm.disassembler import disassemble_section
 from repro.binfmt import read_image, write_image
 from repro.core import Executable
 from repro.sim import ENGINES, run_image
+from repro.tools import MODES, tool_names
 
 
 # ----------------------------------------------------------------------
@@ -364,12 +365,13 @@ def _cmd_verify(args):
     """Differential verification (lints + cosim) of instrumented
     workloads; see DESIGN.md section 5e."""
     from repro.pool import fan_out
-    from repro.verify import _verify_worker, corpus_names
+    from repro.tools import REGISTRY
+    from repro.verify import _verify_worker
+    from repro.workloads.builder import mips_program_names, program_names
 
-    from repro.workloads.builder import program_names
-
-    available = corpus_names() if args.tool == "qpt" else \
-        list(program_names())  # sfi/elsie are SPARC-only
+    arches = REGISTRY[args.tool].arches
+    available = ((list(program_names()) if "sparc" in arches else [])
+                 + (list(mips_program_names()) if "mips" in arches else []))
     if args.all:
         names = available
     else:
@@ -756,8 +758,7 @@ def main(argv=None):
     profile = sub.add_parser("profile", help="instrument with qpt2")
     profile.add_argument("executable")
     profile.add_argument("output")
-    profile.add_argument("--mode", choices=("block", "edge"),
-                         default="edge")
+    profile.add_argument("--mode", choices=MODES, default="edge")
     profile.add_argument("--stdin", default="")
     _add_obs_flags(profile)
     _add_trust_flag(profile)
@@ -788,10 +789,9 @@ def main(argv=None):
     verify.add_argument("workload", nargs="?", default=None)
     verify.add_argument("--all", action="store_true",
                         help="verify the whole workload corpus")
-    verify.add_argument("--tool", choices=("qpt", "sfi", "elsie"),
-                        default="qpt",
+    verify.add_argument("--tool", choices=tool_names(), default="qpt",
                         help="instrumentation tool to verify (default: qpt)")
-    verify.add_argument("--mode", choices=("block", "edge"), default="edge",
+    verify.add_argument("--mode", choices=MODES, default="edge",
                         help="qpt instrumentation mode (default: edge)")
     verify.add_argument("--stdin", default="")
     verify.add_argument("--no-memo", action="store_true",
@@ -916,9 +916,8 @@ def main(argv=None):
     client.add_argument("--workload", default=None)
     client.add_argument("--image", default=None, metavar="PATH",
                         help="send this .eelf file as the request image")
-    client.add_argument("--tool", choices=("qpt", "sfi", "elsie",
-                                           "active_memory"), default="qpt")
-    client.add_argument("--mode", choices=("block", "edge"), default="edge")
+    client.add_argument("--tool", choices=tool_names(), default="qpt")
+    client.add_argument("--mode", choices=MODES, default="edge")
     client.add_argument("--run", action="store_true",
                         help="run the edited image after instrumenting")
     client.add_argument("--shard", type=int, default=None, metavar="N",

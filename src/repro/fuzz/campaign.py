@@ -52,12 +52,6 @@ _C_META_REJECT = _metrics.counter("fuzz.meta_rejects")
 Outcome = collections.namedtuple("Outcome", "seed status detail")
 
 
-def tools_for(arch):
-    """Editing tools exercised per generated image (sfi/elsie are
-    SPARC-only)."""
-    return ("qpt", "sfi", "elsie") if arch == "sparc" else ("qpt",)
-
-
 # ----------------------------------------------------------------------
 # Classification
 # ----------------------------------------------------------------------
@@ -124,7 +118,7 @@ def classify_plan(plan, label="fuzz", timings=None, adopt=None,
     a trust rejection returns ``meta-reject:<reason>``.
     """
     from repro.core.executable import Executable
-    from repro.tools import instrument_image
+    from repro.tools import instrument_image, tool_names
     from repro.verify import verify_session
 
     with _span("fuzz.seed", seed=plan.get("seed")):
@@ -168,7 +162,7 @@ def classify_plan(plan, label="fuzz", timings=None, adopt=None,
             category = codes[0].split(":", 1)[0]
             return "mismatch:%s" % category, "; ".join(codes)
 
-        for tool in tools_for(plan["arch"]):
+        for tool in tool_names(plan["arch"]):
             try:
                 with _Timed(timings, "instrument:%s" % tool):
                     session = instrument_image(program.image, tool)

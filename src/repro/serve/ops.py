@@ -50,13 +50,27 @@ class WorkerDeath(Exception):
 # ----------------------------------------------------------------------
 
 def _workload_image(name):
-    from repro.workloads import builder
+    from repro.verify import workload_image
 
-    if name in builder.mips_program_names():
-        return builder.build_mips_image(name)
-    if name in builder.program_names():
-        return builder.build_image(name)
-    raise OpError(E_BAD_REQUEST, "unknown workload %r" % (name,))
+    try:
+        return workload_image(name)
+    except ValueError as error:
+        raise OpError(E_BAD_REQUEST, str(error))
+
+
+def _checked_tool(params, arch):
+    """The request's ``(tool, mode)``, once the tool registry accepts
+    them for an *arch* image: the one check the ``instrument`` and
+    ``verify`` ops both run before any work."""
+    from repro.tools import check_tool
+
+    tool = params.get("tool", "qpt")
+    mode = params.get("mode", "edge")
+    try:
+        check_tool(tool, arch, mode)
+    except ValueError as error:
+        raise OpError(E_BAD_REQUEST, str(error))
+    return tool, mode
 
 
 def _resolve_image(server, params):
@@ -179,12 +193,8 @@ def _op_run(server, params):
 
 
 def _op_instrument(server, params):
-    from repro.tools import instrument_image, tool_names
+    from repro.tools import instrument_image
 
-    tool = params.get("tool", "qpt")
-    if tool not in tool_names():
-        raise OpError(E_BAD_REQUEST, "unknown tool %r (have: %s)"
-                      % (tool, ", ".join(tool_names())))
     routines = params.get("routines")
     if routines is not None:
         if not isinstance(routines, list) \
@@ -192,12 +202,11 @@ def _op_instrument(server, params):
             raise OpError(E_BAD_REQUEST,
                           "'routines' must be a list of routine names")
     image = _resolve_image(server, params)
+    tool, mode = _checked_tool(params, image.arch)
     _analyzed(server, image)  # coalesce the cold analysis across requests
     try:
-        session = instrument_image(
-            image, tool, mode=params.get("mode", "edge"),
-            cache_size=int(params.get("cache_size", 8192)),
-            only_routines=routines)
+        session = instrument_image(image, tool, mode=mode,
+                                   only_routines=routines)
     except ValueError as error:
         raise OpError(E_BAD_REQUEST, str(error))
     result = {"tool": tool}
@@ -210,23 +219,23 @@ def _op_instrument(server, params):
 
 
 def _op_verify(server, params):
-    from repro.verify import TOOLS, corpus_names, verify_workload
+    from repro.verify import verify_workload
 
     name = params.get("workload")
-    tool = params.get("tool", "qpt")
-    mode = params.get("mode", "edge")
-    if name not in corpus_names():
-        raise OpError(E_BAD_REQUEST, "unknown workload %r" % (name,))
+    image = _workload_image(name)
     server.note_warm(name)
-    if tool not in TOOLS:
-        raise OpError(E_BAD_REQUEST, "unknown tool %r" % (tool,))
+    tool, mode = _checked_tool(params, image.arch)
+
     # Identical concurrent verifies coalesce: the leader runs the full
     # lints+cosim pass (memoizing a clean verdict), losers re-check and
     # land on the warm verdict.
     def _verify():
-        result = verify_workload(name, tool=tool, mode=mode,
-                                 stdin_text=params.get("stdin", ""),
-                                 use_memo=params.get("use_memo", True))
+        try:
+            result = verify_workload(name, tool=tool, mode=mode,
+                                     stdin_text=params.get("stdin", ""),
+                                     use_memo=params.get("use_memo", True))
+        except ValueError as error:
+            raise OpError(E_BAD_REQUEST, str(error))
         return {"ok": result.ok, "memoized": result.memoized,
                 "text": result.render()}
 

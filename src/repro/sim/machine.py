@@ -78,6 +78,11 @@ class SimulationTimeout(SimulationError):
         self.steps = steps
 
 
+def initial_break(image):
+    """Where *image*'s heap starts: past its highest mapped address."""
+    return layout.align_up(image.address_limit() + layout.HEAP_GAP, 16)
+
+
 class Simulator:
     """Load an EELF executable and execute it."""
 
@@ -108,12 +113,8 @@ class Simulator:
             if section.flags & 4:  # SEC_NOBITS: zero pages materialize lazily
                 continue
             self.memory.write_bytes(section.vaddr, bytes(section.data))
-        if brk_base is not None:
-            self.brk = brk_base
-        else:
-            self.brk = layout.align_up(
-                image.address_limit() + layout.HEAP_GAP, 16
-            )
+        self.brk = brk_base if brk_base is not None \
+            else initial_break(image)
         self.max_steps = max_steps
         self.instructions_executed = 0
         # High-water marks of what _record_telemetry already merged into

@@ -18,145 +18,63 @@ Two fidelity points from the paper:
   data), which the ad-hoc version could not do safely.
 """
 
-from repro.core import Executable
-from repro.core.snippet import CodeSnippet
-from repro.sim import Simulator
 from repro.sim.syscalls import SYS_FAULT
-
-BLOCK_SHIFT = 5
-ADDR_BITS = 24
-TABLE_SIZE = 1 << (ADDR_BITS - BLOCK_SHIFT)
+from repro.tools.common import (
+    ADDR_BITS,
+    BLOCK_SHIFT,
+    TABLE_SIZE,
+    RoutineEditor,
+    memory_sites,
+    state_test,
+)
 
 STATE_READWRITE = 0
 STATE_READONLY = 1
 STATE_INVALID = 2
 
-SPILL_O0 = -120
-SPILL_G1 = -124
 
-
-class BlizzardAccessControl:
+class BlizzardAccessControl(RoutineEditor):
     """Insert fine-grain access-control tests before shared accesses."""
 
-    def __init__(self, image, always_save_cc=False, initial_state=None):
+    def __init__(self, image, always_save_cc=False, initial_state=None,
+                 only_routines=None):
         if image.arch != "sparc":
             raise ValueError("Blizzard tool currently targets SPARC")
-        self.exec = Executable(image)
-        self.exec.read_contents()
+        super().__init__(image, only_routines)
         self.always_save_cc = always_save_cc
         table = initial_state if initial_state is not None \
             else bytes(TABLE_SIZE)
         self.state_base = self.exec.add_data("__bz_state", TABLE_SIZE,
                                              initial=table)
         self.sites = 0
-        self.cc_saved_sites = 0  # sites carrying an explicit cc save
-
-    # ------------------------------------------------------------------
-    def _test_snippet(self, instruction):
-        codec = self.exec.codec
-        sp = self.exec.conventions.sp_reg
-        avoid = instruction.reads() | {8, 1, sp}
-        free = [r for r in range(16, 24) if r not in avoid]
-        t_ea, t_idx, t_state = free[0], free[1], free[2]
-
-        fields = {"rd": t_ea, "rs1": instruction.field("rs1")}
-        if instruction.has_field("simm13"):
-            fields["simm13"] = instruction.field("simm13")
-        else:
-            fields["rs2"] = instruction.field("rs2")
-
-        # Loads tolerate ReadOnly; stores require ReadWrite.
-        limit = STATE_READONLY if instruction.is_load else STATE_READWRITE
-
-        words = [
-            codec.encode("add", **fields),
-            codec.encode("sll", rd=t_idx, rs1=t_ea, simm13=32 - ADDR_BITS),
-            codec.encode("srl", rd=t_idx, rs1=t_idx,
-                         simm13=(32 - ADDR_BITS) + BLOCK_SHIFT),
-            codec.encode("sethi", rd=t_state, imm22=self.state_base >> 10),
-            codec.encode("ldub", rd=t_state, rs1=t_state, rs2=t_idx),
-            codec.encode("subcc", rd=0, rs1=t_state, simm13=limit),
-            codec.encode("bleu", disp22=9),  # permitted: skip fault path
-            codec.nop_word,
-            codec.encode("st", rd=8, rs1=sp, simm13=SPILL_O0),
-            codec.encode("st", rd=1, rs1=sp, simm13=SPILL_G1),
-            codec.encode("or", rd=8, rs1=0, rs2=t_ea),
-            codec.encode("or", rd=1, rs1=0, simm13=SYS_FAULT),
-            codec.encode("ta", trap_num=0),
-            codec.encode("ld", rd=8, rs1=sp, simm13=SPILL_O0),
-            codec.encode("ld", rd=1, rs1=sp, simm13=SPILL_G1),
-        ]
-        if self.always_save_cc:
-            # Ablation: explicit save/restore at every site (what a tool
-            # without live-register analysis must do).
-            t_cc = free[3]
-            words = ([codec.encode("rdpsr", rd=t_cc)] + words
-                     + [codec.encode("wrpsr", rs1=t_cc)])
-            self.cc_saved_sites += 1
-            return CodeSnippet(words,
-                               alloc_regs=(t_ea, t_idx, t_state, t_cc),
-                               clobbers_cc=False)
-        return CodeSnippet(words, alloc_regs=(t_ea, t_idx, t_state),
-                           clobbers_cc=True)
 
     def _is_private(self, instruction):
         """Static filter: stack-relative accesses are private data."""
-        sp = self.exec.conventions.sp_reg
-        fp = getattr(self.exec.conventions, "fp_reg", None)
-        rs1 = instruction.field("rs1")
-        return rs1 == sp or (fp is not None and rs1 == fp)
+        conventions = self.exec.conventions
+        return instruction.field("rs1") in (conventions.sp_reg,
+                                            conventions.fp_reg)
 
-    def instrument(self):
-        for routine in self.exec.all_routines():
-            cfg = routine.control_flow_graph()
-            if cfg.cti_in_slot:
-                # Paper §3.1: un-editable delayed-delayed flow.
-                routine.delete_control_flow_graph()
+    def edit_cfg(self, routine, cfg):
+        codec = self.exec.codec
+        for block, index, addr, instruction in memory_sites(cfg, hoist=True):
+            if self._is_private(instruction):
                 continue
-            for block in cfg.blocks:
-                for index, (addr, instruction) in enumerate(
-                    block.instructions
-                ):
-                    if not instruction.is_memory \
-                            or self._is_private(instruction):
-                        continue
-                    snippet = self._test_snippet(instruction)
-                    if block.editable:
-                        block.add_code_before(index, snippet)
-                        self.sites += 1
-                    else:
-                        parent = _editable_predecessor(block)
-                        if parent is None:
-                            continue
-                        cti_index = len(parent.instructions) - 1
-                        cti = parent.instructions[cti_index][1]
-                        if instruction.reads() & cti.writes():
-                            continue
-                        parent.add_code_before(cti_index, snippet)
-                        self.sites += 1
-            routine.produce_edited_routine()
-            routine.delete_control_flow_graph()
-        return self
-
-    def edited_image(self):
-        image = self.exec.edited_image()
-        image.entry = self.exec.edited_addr(self.exec.start_address())
-        return image
+            # Loads tolerate ReadOnly; stores require ReadWrite.
+            limit = STATE_READONLY if instruction.is_load \
+                else STATE_READWRITE
+            block.add_code_before(index, state_test(
+                codec, instruction, addr, "blizzard.test", self.state_base,
+                limit, "bleu", SYS_FAULT, save_cc=self.always_save_cc))
+            self.sites += 1
 
     # ------------------------------------------------------------------
-    def run(self, stdin_text="", protocol=None):
-        """Run with a coherence-protocol stand-in attached.
+    def configure_simulator(self, simulator, protocol=None):
+        """Attach a coherence-protocol stand-in to *simulator* (the
+        tool's host hook); returns the list of faulting addresses.
 
-        The default protocol counts the fault and upgrades the block to
-        ReadWrite (as if fetched with ownership).
+        The default protocol records the fault and upgrades the block
+        to ReadWrite (as if fetched with ownership).
         """
-        from repro.binfmt import layout as binlayout
-
-        image = self.edited_image()
-        brk = binlayout.align_up(
-            self.exec.image.address_limit() + binlayout.HEAP_GAP, 16
-        )
-        simulator = Simulator(image, stdin_text=stdin_text, brk_base=brk)
         faults = []
         state_base = self.state_base
         memory = simulator.memory
@@ -168,12 +86,11 @@ class BlizzardAccessControl:
             return 0
 
         simulator.syscalls.fault_hook = protocol or default_protocol
+        return faults
+
+    def run(self, stdin_text="", protocol=None):
+        """Run with a coherence-protocol stand-in attached."""
+        simulator = self.edited_simulator(stdin_text)
+        faults = self.configure_simulator(simulator, protocol)
         simulator.run()
         return simulator, faults
-
-
-def _editable_predecessor(block):
-    for edge in block.pred:
-        if edge.src.editable and edge.src.kind == "normal":
-            return edge.src
-    return None

@@ -6,24 +6,17 @@ the edited executable — a direct transcription of Figure 1 against this
 library's API.
 """
 
-from repro.core import Executable
-from repro.tools.common import CounterArray, counter_snippet
+from repro.tools.common import CounterArray, RoutineEditor, counter_snippet
 
 
-class BranchCounter:
+class BranchCounter(RoutineEditor):
     """Instrument an executable to count branch-edge executions."""
 
-    def __init__(self, image_or_path):
-        self.exec = Executable(image_or_path)
-        self.exec.read_contents()
+    def __init__(self, image_or_path, only_routines=None):
+        super().__init__(image_or_path, only_routines)
         self.counters = CounterArray(self.exec, "__branch_counts")
 
-    def instrument_routine(self, routine):
-        cfg = routine.control_flow_graph()
-        if cfg.cti_in_slot:
-            # Paper §3.1: un-editable delayed-delayed flow.
-            routine.delete_control_flow_graph()
-            return
+    def edit_cfg(self, routine, cfg):
         for block in cfg.blocks:
             if len(block.succ) <= 1:
                 continue
@@ -36,29 +29,18 @@ class BranchCounter:
                 edge.add_code_along(
                     counter_snippet(self.exec, self.counters.address(index))
                 )
-        routine.produce_edited_routine()
-        routine.delete_control_flow_graph()
 
     def run(self):
         """Instrument every routine (including discovered hidden ones)."""
         for routine in self.exec.routines():
-            self.instrument_routine(routine)
+            self.edit_routine(routine)
         hidden = self.exec.hidden_routines()
         while not hidden.is_empty():
             routine = hidden.first()
             hidden.remove(routine)
-            self.instrument_routine(routine)
+            self.edit_routine(routine)
             self.exec.routines().add(routine)
         return self
-
-    def edited_image(self):
-        image = self.exec.edited_image()
-        image.entry = self.exec.edited_addr(self.exec.start_address())
-        return image
-
-    def write(self, path):
-        entry = self.exec.edited_addr(self.exec.start_address())
-        return self.exec.write_edited_executable(path, entry)
 
     def counts(self, simulator):
         """(descriptor, count) pairs after running the edited program."""

@@ -8,57 +8,49 @@ replaces it with a snippet that traps to the memory-system model, which
 performs the access against simulated memory and charges latency.
 """
 
-from repro.core import Executable
 from repro.core.snippet import CodeSnippet
-from repro.sim import Simulator
+from repro.tools.common import (
+    SP,
+    SPILL_G1,
+    SPILL_O0,
+    SPILL_O1,
+    SPILL_O2,
+    RoutineEditor,
+    effective_address,
+    memory_sites,
+    scratch_regs,
+)
 
 # Tool syscall numbers (dispatched via SyscallHandler.tool_hooks).
 SYS_SIM_LOAD = 16
 SYS_SIM_STORE = 17
 
-SPILL_O0 = -120
-SPILL_O1 = -116
-SPILL_O2 = -112
-SPILL_G1 = -124
+MISS_LATENCY = 20  # cycles the memory model charges per cache miss
 
 
-class ElsieSimulatorBuilder:
+class ElsieSimulatorBuilder(RoutineEditor):
     """Rewrite a program so the memory system is simulated."""
 
-    def __init__(self, image, miss_latency=20, only_routines=None):
+    def __init__(self, image, only_routines=None):
         if image.arch != "sparc":
             raise ValueError("Elsie tool currently targets SPARC")
-        from repro.tools.common import routine_filter
-
-        self.exec = Executable(image)
-        self.exec.read_contents()
-        self.only = routine_filter(self.exec, only_routines)
-        self.miss_latency = miss_latency
+        super().__init__(image, only_routines)
         self.replaced = 0
 
     # ------------------------------------------------------------------
     def _load_snippet(self, instruction, addr=None):
         codec = self.exec.codec
-        sp = self.exec.conventions.sp_reg
         rd = instruction.field("rd")
-        avoid = instruction.reads() | {8, 9, 10, 1, sp, rd}
-        free = [r for r in range(16, 24) if r not in avoid]
-        t_ea = free[0]
-
-        fields = {"rd": t_ea, "rs1": instruction.field("rs1")}
-        if instruction.has_field("simm13"):
-            fields["simm13"] = instruction.field("simm13")
-        else:
-            fields["rs2"] = instruction.field("rs2")
+        t_ea = scratch_regs(instruction, (9, 10, rd))[0]
         width_code = instruction.mem_width | (
             0x100 if instruction.inst.mem_signed else 0
         )
 
         words = [
-            codec.encode("add", **fields),
-            codec.encode("st", rd=8, rs1=sp, simm13=SPILL_O0),
-            codec.encode("st", rd=9, rs1=sp, simm13=SPILL_O1),
-            codec.encode("st", rd=1, rs1=sp, simm13=SPILL_G1),
+            effective_address(codec, instruction, t_ea),
+            codec.encode("st", rd=8, rs1=SP, simm13=SPILL_O0),
+            codec.encode("st", rd=9, rs1=SP, simm13=SPILL_O1),
+            codec.encode("st", rd=1, rs1=SP, simm13=SPILL_G1),
             codec.encode("or", rd=8, rs1=0, rs2=t_ea),
             codec.encode("or", rd=9, rs1=0, simm13=width_code),
             codec.encode("or", rd=1, rs1=0, simm13=SYS_SIM_LOAD),
@@ -67,94 +59,57 @@ class ElsieSimulatorBuilder:
         ]
         for reg, slot in ((9, SPILL_O1), (1, SPILL_G1), (8, SPILL_O0)):
             if reg != rd:
-                words.append(codec.encode("ld", rd=reg, rs1=sp, simm13=slot))
+                words.append(codec.encode("ld", rd=reg, rs1=SP, simm13=slot))
         return CodeSnippet(words, alloc_regs=(t_ea,), clobbers_cc=True,
                            tag=("elsie.load", addr))
 
     def _store_snippet(self, instruction, addr=None):
         codec = self.exec.codec
-        sp = self.exec.conventions.sp_reg
         value_reg = instruction.field("rd")
-        avoid = instruction.reads() | {8, 9, 10, 1, sp}
-        free = [r for r in range(16, 24) if r not in avoid]
-        t_ea, t_val = free[0], free[1]
-
-        fields = {"rd": t_ea, "rs1": instruction.field("rs1")}
-        if instruction.has_field("simm13"):
-            fields["simm13"] = instruction.field("simm13")
-        else:
-            fields["rs2"] = instruction.field("rs2")
+        t_ea, t_val = scratch_regs(instruction, (9, 10))[:2]
 
         words = [
-            codec.encode("add", **fields),
+            effective_address(codec, instruction, t_ea),
             codec.encode("or", rd=t_val, rs1=0, rs2=value_reg),
-            codec.encode("st", rd=8, rs1=sp, simm13=SPILL_O0),
-            codec.encode("st", rd=9, rs1=sp, simm13=SPILL_O1),
-            codec.encode("st", rd=10, rs1=sp, simm13=SPILL_O2),
-            codec.encode("st", rd=1, rs1=sp, simm13=SPILL_G1),
+            codec.encode("st", rd=8, rs1=SP, simm13=SPILL_O0),
+            codec.encode("st", rd=9, rs1=SP, simm13=SPILL_O1),
+            codec.encode("st", rd=10, rs1=SP, simm13=SPILL_O2),
+            codec.encode("st", rd=1, rs1=SP, simm13=SPILL_G1),
             codec.encode("or", rd=8, rs1=0, rs2=t_ea),
             codec.encode("or", rd=9, rs1=0, rs2=t_val),
             codec.encode("or", rd=10, rs1=0, simm13=instruction.mem_width),
             codec.encode("or", rd=1, rs1=0, simm13=SYS_SIM_STORE),
             codec.encode("ta", trap_num=0),
-            codec.encode("ld", rd=8, rs1=sp, simm13=SPILL_O0),
-            codec.encode("ld", rd=9, rs1=sp, simm13=SPILL_O1),
-            codec.encode("ld", rd=10, rs1=sp, simm13=SPILL_O2),
-            codec.encode("ld", rd=1, rs1=sp, simm13=SPILL_G1),
+            codec.encode("ld", rd=8, rs1=SP, simm13=SPILL_O0),
+            codec.encode("ld", rd=9, rs1=SP, simm13=SPILL_O1),
+            codec.encode("ld", rd=10, rs1=SP, simm13=SPILL_O2),
+            codec.encode("ld", rd=1, rs1=SP, simm13=SPILL_G1),
         ]
         return CodeSnippet(words, alloc_regs=(t_ea, t_val),
                            clobbers_cc=True, tag=("elsie.store", addr))
 
     # ------------------------------------------------------------------
-    def instrument(self):
-        for routine in self.exec.all_routines():
-            if self.only is not None and routine.name not in self.only:
-                continue
-            cfg = routine.control_flow_graph()
-            if cfg.cti_in_slot:
-                # Paper §3.1: un-editable delayed-delayed flow; leave
-                # the routine's loads/stores unsimulated.
-                routine.delete_control_flow_graph()
-                continue
-            for block in cfg.blocks:
-                if not block.editable:
-                    continue
-                for index, (addr, instruction) in enumerate(
-                    block.instructions
-                ):
-                    if not instruction.is_memory:
-                        continue
-                    if instruction.is_load:
-                        snippet = self._load_snippet(instruction, addr)
-                    else:
-                        snippet = self._store_snippet(instruction, addr)
-                    block.add_code_before(index, snippet)
-                    block.delete_instruction(index)
-                    self.replaced += 1
-            routine.produce_edited_routine()
-            routine.delete_control_flow_graph()
-        return self
-
-    def edited_image(self):
-        image = self.exec.edited_image()
-        image.entry = self.exec.edited_addr(self.exec.start_address())
-        return image
+    def edit_cfg(self, routine, cfg):
+        for block, index, addr, instruction in memory_sites(cfg):
+            if instruction.is_load:
+                snippet = self._load_snippet(instruction, addr)
+            else:
+                snippet = self._store_snippet(instruction, addr)
+            block.add_code_before(index, snippet)
+            block.delete_instruction(index)
+            self.replaced += 1
 
     # ------------------------------------------------------------------
     def configure_simulator(self, simulator):
-        """Install the memory-model traps on *simulator*.
-
-        Shared between :meth:`run` and the verify cosimulation oracle,
-        which must equip the edited side with the same host-side hooks
-        the tool itself would use.  Returns the stats dict the hooks
-        accumulate into.
+        """Install the memory-model traps on *simulator* (the tool's
+        host hook, shared with the verify cosimulation oracle).
+        Returns the stats dict the hooks accumulate into.
         """
         from repro.tools.active_memory import DirectMappedCache
 
         cache = DirectMappedCache()
         stats = {"loads": 0, "stores": 0, "memory_cycles": 0}
         memory = simulator.memory
-        latency = self.miss_latency
 
         def sim_load(args):
             addr, width_code = args[0], args[1]
@@ -163,7 +118,7 @@ class ElsieSimulatorBuilder:
             stats["loads"] += 1
             stats["memory_cycles"] += 1
             if cache.access(addr) is not False:
-                stats["memory_cycles"] += latency
+                stats["memory_cycles"] += MISS_LATENCY
             return memory.load(addr, width, signed) & 0xFFFFFFFF
 
         def sim_store(args):
@@ -171,7 +126,7 @@ class ElsieSimulatorBuilder:
             stats["stores"] += 1
             stats["memory_cycles"] += 1
             if cache.access(addr) is not False:
-                stats["memory_cycles"] += latency
+                stats["memory_cycles"] += MISS_LATENCY
             memory.store(addr, width, value)
             return 0
 
@@ -181,13 +136,7 @@ class ElsieSimulatorBuilder:
 
     def run(self, stdin_text=""):
         """Run inside the memory-system model; returns (simulator, stats)."""
-        from repro.binfmt import layout as binlayout
-
-        image = self.edited_image()
-        brk = binlayout.align_up(
-            self.exec.image.address_limit() + binlayout.HEAP_GAP, 16
-        )
-        simulator = Simulator(image, stdin_text=stdin_text, brk_base=brk)
+        simulator = self.edited_simulator(stdin_text)
         stats = self.configure_simulator(simulator)
         simulator.run()
         return simulator, stats

@@ -13,10 +13,10 @@ Reconstruction yields per-edge and per-block execution counts that the
 test suite compares against simulator ground truth.
 """
 
-from repro.core import Executable
 from repro.obs import metrics as _metrics
 from repro.obs.trace import span as _span
-from repro.tools.common import CounterArray, counter_snippet, routine_filter
+from repro.tools import MODES
+from repro.tools.common import CounterArray, RoutineEditor, counter_snippet
 
 _UNEDITABLE_WEIGHT = 1 << 30
 
@@ -36,55 +36,35 @@ class RoutineProfile:
         self.virtual_edge = None  # (exit id, entry id) circulation edge
 
 
-class QptProfiler:
+class QptProfiler(RoutineEditor):
     """Instrument a program for profiling; reconstruct counts after a run."""
 
     def __init__(self, image_or_path, mode="edge", only_routines=None):
-        if mode not in ("edge", "block"):
+        if mode not in MODES:
             raise ValueError("mode must be 'edge' or 'block'")
         self.mode = mode
-        self.exec = Executable(image_or_path)
-        self.exec.read_contents()
-        self.only = routine_filter(self.exec, only_routines)
+        super().__init__(image_or_path, only_routines)
         self.counters = CounterArray(self.exec, "__qpt_counts", 16384)
         self.profiles = {}  # routine name -> RoutineProfile
         self.block_counters = {}  # (routine, block start) -> counter index
 
-    def _selected(self, routine):
-        return self.only is None or routine.name in self.only
-
     # ------------------------------------------------------------------
-    def run(self):
+    def instrument(self):
         with _span("qpt.instrument", mode=self.mode) as sp:
-            for routine in self.exec.routines():
-                if self._selected(routine):
-                    self._instrument(routine)
-            hidden = self.exec.hidden_routines()
-            while not hidden.is_empty():
-                routine = hidden.first()
-                hidden.remove(routine)
-                if self._selected(routine):
-                    self._instrument(routine)
-                self.exec.routines().add(routine)
+            super().instrument()
             sp.set(counters=self.counters.used)
         _C_COUNTERS.inc(self.counters.used)
         return self
 
-    def _instrument(self, routine):
-        if routine.control_flow_graph().cti_in_slot:
-            # Paper §3.1: a branch occupying a delay slot cannot be
-            # edited — leave the routine in place, unprofiled.
-            routine.delete_control_flow_graph()
-            return
-        if self.mode == "block":
-            self._instrument_blocks(routine)
-        else:
-            self._instrument_edges(routine)
-        routine.produce_edited_routine()
-        routine.delete_control_flow_graph()
+    run = instrument
 
-    def _instrument_blocks(self, routine):
-        cfg = routine.control_flow_graph()
+    def edit_cfg(self, routine, cfg):
+        if self.mode == "block":
+            self._instrument_blocks(routine, cfg)
+        else:
+            self._instrument_edges(routine, cfg)
+
+    def _instrument_blocks(self, routine, cfg):
         for block in cfg.normal_blocks():
             index = self.counters.allocate((routine.name, block.start))
             self.block_counters[(routine.name, block.start)] = index
@@ -95,8 +75,7 @@ class QptProfiler:
             )
 
     # -- edge mode ---------------------------------------------------------
-    def _instrument_edges(self, routine):
-        cfg = routine.control_flow_graph()
+    def _instrument_edges(self, routine, cfg):
         profile = RoutineProfile(routine)
         profile.blocks = [(b.id, b.start, b.kind) for b in cfg.blocks]
         edges = cfg.all_edges()
@@ -165,16 +144,6 @@ class QptProfiler:
     def _edge_weight(edge):
         # Static heuristic: prefer keeping fall-through edges uncounted.
         return {"fall": 4, "creturn": 3, "uncond": 2}.get(edge.kind, 1)
-
-    # ------------------------------------------------------------------
-    def edited_image(self):
-        image = self.exec.edited_image()
-        image.entry = self.exec.edited_addr(self.exec.start_address())
-        return image
-
-    def write(self, path):
-        entry = self.exec.edited_addr(self.exec.start_address())
-        return self.exec.write_edited_executable(path, entry)
 
     # ------------------------------------------------------------------
     # Count reconstruction (edge mode)

@@ -1,8 +1,8 @@
 """Software fault isolation (sandboxing), after Wahbe et al. (section 1).
 
-Stores (and optionally indirect jump targets) are checked against the
-allowed segments before executing.  An access outside the sandbox traps
-to the fault handler instead of corrupting foreign state.
+Stores are checked against the allowed segments before executing.  An
+access outside the sandbox traps to the fault handler instead of
+corrupting foreign state.
 
 Allowed segments (by high address byte): the program's static data /
 heap segment (byte 0x00, addresses below 16MB) and the stack segment
@@ -10,46 +10,34 @@ heap segment (byte 0x00, addresses below 16MB) and the stack segment
 therefore always permitted.
 """
 
-from repro.core import Executable
 from repro.core.snippet import CodeSnippet
-from repro.tools.common import routine_filter
-from repro.sim import Simulator
 from repro.sim.syscalls import ProtectionFault, SYS_FAULT
-
-SPILL_O0 = -120
-SPILL_G1 = -124
+from repro.tools.common import (
+    RoutineEditor,
+    effective_address,
+    memory_sites,
+    scratch_regs,
+    trap_to_host,
+)
 
 DATA_SEGMENT_BYTE = 0x00
 STACK_SEGMENT_BYTE = 0x7F
 
 
-class Sandboxer:
+class Sandboxer(RoutineEditor):
     """Insert store sandboxing checks."""
 
-    def __init__(self, image, check_loads=False, only_routines=None):
+    def __init__(self, image, only_routines=None):
         if image.arch != "sparc":
             raise ValueError("SFI tool currently targets SPARC")
-        self.exec = Executable(image)
-        self.exec.read_contents()
-        self.only = routine_filter(self.exec, only_routines)
-        self.check_loads = check_loads
+        super().__init__(image, only_routines)
         self.sites = 0
 
     def _check_snippet(self, instruction, addr=None):
         codec = self.exec.codec
-        sp = self.exec.conventions.sp_reg
-        avoid = instruction.reads() | {8, 1, sp}
-        free = [r for r in range(16, 24) if r not in avoid]
-        t_ea, t_seg = free[0], free[1]
-
-        fields = {"rd": t_ea, "rs1": instruction.field("rs1")}
-        if instruction.has_field("simm13"):
-            fields["simm13"] = instruction.field("simm13")
-        else:
-            fields["rs2"] = instruction.field("rs2")
-
+        t_ea, t_seg = scratch_regs(instruction)[:2]
         words = [
-            codec.encode("add", **fields),
+            effective_address(codec, instruction, t_ea),
             codec.encode("srl", rd=t_seg, rs1=t_ea, simm13=24),
             codec.encode("subcc", rd=0, rs1=t_seg,
                          simm13=DATA_SEGMENT_BYTE),
@@ -59,53 +47,20 @@ class Sandboxer:
                          simm13=STACK_SEGMENT_BYTE),
             codec.encode("be", disp22=9),  # stack segment: permitted
             codec.nop_word,
-            codec.encode("st", rd=8, rs1=sp, simm13=SPILL_O0),
-            codec.encode("st", rd=1, rs1=sp, simm13=SPILL_G1),
-            codec.encode("or", rd=8, rs1=0, rs2=t_ea),
-            codec.encode("or", rd=1, rs1=0, simm13=SYS_FAULT),
-            codec.encode("ta", trap_num=0),
-            codec.encode("ld", rd=8, rs1=sp, simm13=SPILL_O0),
-            codec.encode("ld", rd=1, rs1=sp, simm13=SPILL_G1),
-        ]
+        ] + trap_to_host(codec, t_ea, SYS_FAULT)
         return CodeSnippet(words, alloc_regs=(t_ea, t_seg), clobbers_cc=True,
                            tag=("sfi.store_check", addr))
 
-    def instrument(self):
-        for routine in self.exec.all_routines():
-            if self.only is not None and routine.name not in self.only:
-                continue
-            cfg = routine.control_flow_graph()
-            if cfg.cti_in_slot:
-                # Paper §3.1: un-editable delayed-delayed flow; the
-                # routine stays in place (its stores go unchecked).
-                routine.delete_control_flow_graph()
-                continue
-            for block in cfg.blocks:
-                if not block.editable:
-                    continue
-                for index, (addr, instruction) in enumerate(
-                    block.instructions
-                ):
-                    wanted = instruction.is_store or (
-                        self.check_loads and instruction.is_load
-                    )
-                    if wanted:
-                        block.add_code_before(
-                            index, self._check_snippet(instruction, addr)
-                        )
-                        self.sites += 1
-            routine.produce_edited_routine()
-            routine.delete_control_flow_graph()
-        return self
-
-    def edited_image(self):
-        image = self.exec.edited_image()
-        image.entry = self.exec.edited_addr(self.exec.start_address())
-        return image
+    def edit_cfg(self, routine, cfg):
+        for block, index, addr, instruction in memory_sites(cfg):
+            if instruction.is_store:
+                block.add_code_before(
+                    index, self._check_snippet(instruction, addr))
+                self.sites += 1
 
     def run(self, stdin_text="", on_fault=None):
         """Run sandboxed; violations raise ProtectionFault by default."""
-        simulator = Simulator(self.edited_image(), stdin_text=stdin_text)
+        simulator = self.edited_simulator(stdin_text)
         if on_fault is not None:
             simulator.syscalls.fault_hook = on_fault
         try:

@@ -41,6 +41,7 @@ __all__ = [
     "instrument_workload",
     "verify_session",
     "verify_workload",
+    "workload_image",
 ]
 
 # Bump when verify semantics change: old verdicts stop matching.
@@ -150,9 +151,7 @@ def verify_session(executable, edited_image=None, stdin_text="",
 
 
 # ----------------------------------------------------------------------
-# Workload drivers (used by the CLI and the test suite).
-
-TOOLS = ("qpt", "sfi", "elsie")
+# Workload drivers (used by the CLI, the serve ops and the test suite).
 
 
 def corpus_names():
@@ -162,32 +161,24 @@ def corpus_names():
     return list(builder.program_names()) + list(builder.mips_program_names())
 
 
-def _workload_image(name):
+def workload_image(name):
+    """The built image of corpus workload *name*."""
     from repro.workloads import builder
 
     if name in builder.mips_program_names():
-        return builder.build_mips_image(name), "mips"
+        return builder.build_mips_image(name)
     if name in builder.program_names():
-        return builder.build_image(name), "sparc"
+        return builder.build_image(name)
     raise ValueError("unknown workload %r (have: %s)"
                      % (name, ", ".join(corpus_names())))
 
 
 def instrument_workload(name, tool="qpt", mode="edge"):
     """Build *name*, instrument it with *tool*, and return
-    (executable session, edited image, configure_edited hook).
-
-    Tool dispatch lives in :func:`repro.tools.instrument_image`; this
-    wrapper only resolves the workload name and narrows the error
-    message to the verify vocabulary.
-    """
+    (executable session, edited image, configure_edited hook)."""
     from repro.tools import instrument_image
 
-    image, _arch = _workload_image(name)
-    if tool not in TOOLS:
-        raise ValueError("unknown tool %r (have: %s)"
-                         % (tool, ", ".join(TOOLS)))
-    session = instrument_image(image, tool, mode=mode)
+    session = instrument_image(workload_image(name), tool, mode=mode)
     return session.executable, session.edited_image, session.configure_edited
 
 

@@ -263,12 +263,16 @@ IMAGE_FAULTS = (
 )
 
 
-def run_fault_suite(executable, stdin_text="", sync_budget=2_000_000):
+def run_fault_suite(executable, stdin_text="", sync_budget=2_000_000,
+                    configure_edited=None):
     """Inject every applicable image-level fault and report detection.
 
     Returns {class name: {"detected": bool, "by": "lints"/"cosim",
     "report": str, "details": dict}}; classes with no viable site in
-    this workload are omitted.
+    this workload are omitted.  *configure_edited* is the edit's host
+    hook (see :func:`repro.verify.verify_session`): without it, an edit
+    that traps to its tool's runtime crashes under cosim whatever fault
+    was injected.
     """
     from repro.verify.cosim import CosimOracle
     from repro.verify.lints import run_lints, spill_findings
@@ -292,6 +296,7 @@ def run_fault_suite(executable, stdin_text="", sync_budget=2_000_000):
             }
             continue
         report = CosimOracle(context, stdin_text=stdin_text,
+                             configure_edited=configure_edited,
                              sync_budget=sync_budget).run()
         results[details["class"]] = {
             "detected": not report.ok,

@@ -31,18 +31,13 @@ from repro.workloads.builder import (
 )
 
 
-def _tools(arch):
-    return [tool for tool in tools.tool_names()
-            if arch == "sparc" or tool not in tools._SPARC_ONLY]
-
-
 _CASES = ([(name, tool) for name in program_names()
-           for tool in _tools("sparc")]
+           for tool in tools.tool_names("sparc")]
           + [(name, tool) for name in mips_program_names()
-             for tool in _tools("mips")]
+             for tool in tools.tool_names("mips")]
           + [("gen-%s-%d" % (arch, seed), tool)
              for arch in ("sparc", "mips") for seed in range(20)
-             for tool in _tools(arch)])
+             for tool in tools.tool_names(arch)])
 
 
 def _image(name):

@@ -730,3 +730,42 @@ def test_instrument_rejects_unknown_routine_names(make_server):
             client.request("instrument", workload="fib", tool="qpt",
                            routines="fib")
         assert err.value.code == protocol.E_BAD_REQUEST
+
+
+@pytest.mark.parametrize("tool", ["blizzard", "branch_count"])
+def test_instrument_routines_subset_for_registered_tools(make_server, tool):
+    server = make_server(jobs=1)
+    with _client(server) as client:
+        subset = client.request("instrument", workload="fib", tool=tool,
+                                routines=["fib"], run=True)
+        full = client.request("instrument", workload="fib", tool=tool,
+                              run=True)
+        assert subset["run"]["exit_code"] == 0
+        assert subset["run"]["output"] == full["run"]["output"]
+        assert subset["edited_image"] != full["edited_image"]
+        with pytest.raises(ServeError) as err:
+            client.request("instrument", workload="fib", tool=tool,
+                           routines=["no_such_routine"])
+        assert err.value.code == protocol.E_BAD_REQUEST
+
+
+def test_instrument_and_verify_reject_client_mistakes_alike(make_server):
+    """Both ops run the tool registry's one check before any work, so
+    a wrong tool, architecture or mode gets the same answer from
+    either; ``verify`` takes every registered tool."""
+    server = make_server(jobs=1)
+    mistakes = [{"workload": "mips_fib", "tool": "sfi"},
+                {"workload": "fib", "tool": "qpt", "mode": "bogus"},
+                {"workload": "fib", "tool": "nonesuch"}]
+    with _client(server) as client:
+        for params in mistakes:
+            answers = []
+            for op in ("instrument", "verify"):
+                with pytest.raises(ServeError) as err:
+                    client.request(op, **params)
+                answers.append((err.value.code, err.value.message))
+            assert answers[0] == answers[1], params
+            assert answers[0][0] == protocol.E_BAD_REQUEST
+        verdict = client.request("verify", workload="fib",
+                                 tool="active_memory", use_memo=False)
+        assert verdict["ok"], verdict["text"]

@@ -78,6 +78,25 @@ def test_blizzard_warmup_faults_when_invalid():
     assert len(blocks) == len(set(blocks))
 
 
+@pytest.mark.parametrize("name", ["qsort", "sieve", "tree"])
+def test_blizzard_fault_path_verifies_under_cosim(name):
+    """An all-Invalid table sends the first touch of every shared block
+    through the protocol stand-in, which the verify oracle installs
+    as the tool's host hook."""
+    from repro.verify import verify_session
+
+    table = bytes([STATE_INVALID]) * TABLE_SIZE
+    tool = BlizzardAccessControl(build_image(name),
+                                 initial_state=table).instrument()
+    hooked = []
+    result = verify_session(tool.exec, tool.edited_image(), use_memo=False,
+                            configure_edited=lambda simulator: hooked.append(
+                                tool.configure_simulator(simulator)))
+    assert result.ok, result.render()
+    (faults,) = hooked
+    assert faults  # the fault path ran
+
+
 def test_blizzard_cc_liveness_optimization_pays():
     """Paper section 5: the live-register optimization gives a faster
     test when condition codes are dead."""

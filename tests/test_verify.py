@@ -4,9 +4,10 @@ import pytest
 
 from repro.sim.machine import (SimulationError, SimulationTimeout, Simulator,
                                run_image)
+from repro.tools import tool_names
 from repro.verify import (VerifyResult, corpus_names, instrument_workload,
                           verify_session, verify_workload)
-from repro.verify.context import Finding, VerifyContext
+from repro.verify.context import EditPlacement, Finding, VerifyContext
 from repro.verify.inject import inject_stale_dispatch_entry, run_fault_suite
 from repro.verify.lints import run_lints
 from repro.workloads import builder
@@ -94,6 +95,28 @@ def test_placement_reconstructs_edit_provenance(fib_session):
     assert "snippet" in placed.describe()
 
 
+_TOOL_CASES = [(name, tool) for name, arch in (("fib", "sparc"),
+                                              ("interp", "sparc"),
+                                              ("mips_sum", "mips"))
+               for tool in tool_names(arch)]
+
+
+@pytest.mark.parametrize("name,tool", _TOOL_CASES,
+                         ids=["%s-%s" % case for case in _TOOL_CASES])
+def test_every_tool_tags_its_snippets_and_verifies(name, tool):
+    """Every snippet names the edit that placed it (tool and site), so
+    a divergence inside one can name its covering edit."""
+    executable, edited_image, configure = instrument_workload(name, tool)
+    snippets = EditPlacement(executable).snippets()
+    assert snippets
+    untagged = [entry.describe() for entry in snippets
+                if entry.item.snippet.snippet.tag is None]
+    assert not untagged, untagged[:3]
+    result = verify_session(executable, edited_image, use_memo=False,
+                            configure_edited=configure)
+    assert result.ok, result.render()
+
+
 def test_finding_renders_provenance():
     finding = Finding("stale-dispatch-entry", "points at 0x10f0",
                       routine="interp", block=0x1040, addr=0x2040)
@@ -106,11 +129,34 @@ def test_finding_renders_provenance():
 # Fault injection: every corruption class is detected with provenance
 # ----------------------------------------------------------------------
 
-def test_fault_suite_detects_all_classes(fib_suite):
-    assert len(fib_suite) >= 4
-    for cls, outcome in fib_suite.items():
+def _detects_every_class(suite):
+    assert len(suite) >= 4
+    for cls, outcome in suite.items():
         assert outcome["detected"], "%s went undetected" % cls
         assert outcome["by"] in ("lints", "cosim")
+
+
+def test_fault_suite_detects_all_classes(fib_suite):
+    _detects_every_class(fib_suite)
+
+
+_FAULT_CASES = [("fib", "elsie"), ("interp", "elsie"),
+                ("fib", "active_memory"), ("interp", "active_memory"),
+                ("fib", "blizzard"), ("interp", "blizzard"),
+                ("fib", "branch_count"), ("interp", "branch_count"),
+                ("mips_sum", "branch_count")]
+
+
+@pytest.mark.parametrize("name,tool", _FAULT_CASES,
+                         ids=["%s-%s" % case for case in _FAULT_CASES])
+def test_fault_suite_detects_all_classes_in_tool_edits(name, tool):
+    """With the edit's host hook installed, a fault is caught by what
+    it breaks, not by the edited side dying on an unhandled trap."""
+    executable, _, configure = instrument_workload(name, tool)
+    suite = run_fault_suite(executable, configure_edited=configure)
+    _detects_every_class(suite)
+    for outcome in suite.values():
+        assert "unknown syscall" not in outcome["report"]
 
 
 def test_fault_suite_reports_carry_provenance(fib_suite):
