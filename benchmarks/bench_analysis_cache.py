@@ -2,18 +2,24 @@
 
 Cold: empty cache — full symbol-table refinement, per-routine CFG
 construction, liveness, indirect-jump slicing, plus the summary store.
-Warm: the same binary again — one content hash, one EELA blob read, and
-per-routine restores; no refinement or analysis work at all.
+Warm: the same binary again — one content hash, one EELA blob read and
+hydration, and every routine's CFG and liveness materialized from its
+packed records; no refinement or analysis work at all.  Each warm run
+must show exactly that in its counters: one cache hit, no CFG build,
+one restored CFG per routine.
 
 The workload is ``interp`` (the largest: 20 routines and a dispatch
 table), so the measured ratio is the one a tool like qpt2 would see
 re-instrumenting a real program.
 """
 
+import glob
+import os
 import time
 
 from conftest import record, report
 from repro.core import Executable
+from repro.obs import metrics
 from repro.workloads import build_image
 
 WORKLOAD = "interp"
@@ -42,11 +48,20 @@ def test_analysis_cache_warm_vs_cold(tmp_path, monkeypatch):
     _analyze(images[0])
     cold = time.perf_counter() - started
 
+    (blob,) = glob.glob(os.path.join(str(tmp_path), "*.eela"))
+    blob_bytes = os.path.getsize(blob)
+
     warm_times = []
     for image in images[1:4]:
+        metrics.reset()
         started = time.perf_counter()
-        _analyze(image)
+        exe = _analyze(image)
         warm_times.append(time.perf_counter() - started)
+        counters = metrics.snapshot()["counters"]
+        assert counters.get("cache.hits") == 1, counters
+        assert counters.get("cfg.builds", 0) == 0, counters
+        assert counters.get("cache.restored_cfgs") \
+            == len(exe.all_routines()), counters
     warm = min(warm_times)
 
     speedup = cold / warm if warm else float("inf")
@@ -61,6 +76,7 @@ def test_analysis_cache_warm_vs_cold(tmp_path, monkeypatch):
     record("analysis_cache.%s.cold" % WORKLOAD, cold, "s")
     record("analysis_cache.%s.warm" % WORKLOAD, warm, "s")
     record("analysis_cache.%s.speedup" % WORKLOAD, speedup, "x")
+    record("analysis_cache.%s.blob_bytes" % WORKLOAD, blob_bytes, "bytes")
     assert speedup >= TARGET_SPEEDUP, (
         "warm restore only %.2fx faster than cold analysis" % speedup
     )

@@ -38,11 +38,18 @@ ANALYSIS_MAGIC = b"EELA"
 # 6: a blob is the fact table alone plus how it was produced (provenance
 #    and the metadata status): routine and hidden lists rebuild from the
 #    routine facts, claimed data from the dispatch facts.
-ANALYSIS_VERSION = 6
+# 7: the cfg and liveness facts are packed per-routine records
+#    (repro.core.facts.record) stored after the JSON as binary chunks,
+#    and the dependency edges are no longer stored: the rule table
+#    derives them again from the payloads.
+ANALYSIS_VERSION = 7
 
 
 class FormatError(Exception):
     """Malformed EELF file."""
+
+
+_TRUNCATED = "truncated EELF file"
 
 
 def _pack_str(text):
@@ -57,7 +64,7 @@ class _Reader:
 
     def take(self, count):
         if self.pos + count > len(self.blob):
-            raise FormatError("truncated EELF file")
+            raise FormatError(_TRUNCATED)
         chunk = self.blob[self.pos : self.pos + count]
         self.pos += count
         return chunk
@@ -119,6 +126,45 @@ def image_to_bytes(image):
     return bytes(out)
 
 
+_U16 = struct.Struct(">H")
+_U32_U16 = struct.Struct(">IH")
+
+
+def _read_symbols(blob, pos, count, image):
+    """Add the *count* symbol records at *pos* to *image*; returns the
+    offset past them.  Each record is four length-prefixed strings and
+    two u32s, read with one ``unpack_from`` per fixed run of fields;
+    a string is decoded only once it is known to be whole."""
+    end = len(blob)
+    try:
+        for _ in range(count):
+            (length,) = _U16.unpack_from(blob, pos)
+            pos += 2 + length
+            if pos > end:
+                raise FormatError(_TRUNCATED)
+            name = blob[pos - length:pos].decode("utf-8")
+            value, length = _U32_U16.unpack_from(blob, pos)
+            pos += 6 + length
+            if pos > end:
+                raise FormatError(_TRUNCATED)
+            sym_kind = blob[pos - length:pos].decode("utf-8")
+            (length,) = _U16.unpack_from(blob, pos)
+            pos += 2 + length
+            if pos > end:
+                raise FormatError(_TRUNCATED)
+            binding = blob[pos - length:pos].decode("utf-8")
+            size, length = _U32_U16.unpack_from(blob, pos)
+            pos += 6 + length
+            if pos > end:
+                raise FormatError(_TRUNCATED)
+            image.add_symbol(Symbol(
+                name, value, kind=sym_kind, binding=binding, size=size,
+                section=blob[pos - length:pos].decode("utf-8")))
+    except struct.error:
+        raise FormatError(_TRUNCATED) from None
+    return pos
+
+
 def image_from_bytes(blob):
     """Parse EELF bytes into an :class:`Image`."""
     reader = _Reader(blob)
@@ -140,17 +186,7 @@ def image_from_bytes(blob):
         name = reader.string()
         vaddr, size, flags = struct.unpack(">IIB", reader.take(9))
         headers.append((name, vaddr, size, flags))
-    for _ in range(nsymbols):
-        name = reader.string()
-        value = reader.u32()
-        sym_kind = reader.string()
-        binding = reader.string()
-        size = reader.u32()
-        section = reader.string()
-        image.add_symbol(
-            Symbol(name, value, kind=sym_kind, binding=binding, size=size,
-                   section=section)
-        )
+    reader.pos = _read_symbols(blob, reader.pos, nsymbols, image)
     for _ in range(nrelocs):
         section_name = reader.string()
         offset = reader.u32()
@@ -170,20 +206,42 @@ def image_from_bytes(blob):
     return image
 
 
+def _fact_rows(summary):
+    """The rows of *summary*'s fact table, or () when it has none."""
+    rows = summary.get("facts") if type(summary) is dict else None
+    return rows if type(rows) is list else ()
+
+
 def analysis_to_bytes(summary):
     """Serialize an analysis *summary* dict to EELA bytes.
 
-    The payload is canonical JSON (sorted keys, no whitespace) under
-    zlib, so identical analyses always produce identical blobs.
+    Under zlib: a u32 length and the canonical JSON of the summary
+    (sorted keys, no whitespace), then, in row order, every packed
+    record — a fact-table row whose payload is bytes — as a u32 length
+    and its bytes, with null in its place in the JSON.  Identical
+    analyses always produce identical blobs.
     """
-    payload = json.dumps(summary, sort_keys=True,
-                         separators=(",", ":")).encode("utf-8")
+    records = []
+    rows = _fact_rows(summary)
+    if rows:
+        table = []
+        for row in rows:
+            if type(row) is list and len(row) == 3 \
+                    and isinstance(row[2], bytes):
+                records += (struct.pack(">I", len(row[2])), row[2])
+                row = [row[0], row[1], None]
+            table.append(row)
+        summary = dict(summary, facts=table)
+    header = json.dumps(summary, sort_keys=True,
+                        separators=(",", ":")).encode("utf-8")
+    payload = b"".join([struct.pack(">I", len(header)), header] + records)
     return (ANALYSIS_MAGIC + struct.pack(">H", ANALYSIS_VERSION)
             + zlib.compress(payload))
 
 
 def analysis_from_bytes(blob):
-    """Parse EELA bytes back into the analysis summary dict."""
+    """Parse EELA bytes back into the analysis summary dict, each
+    packed record back in its fact-table row as bytes."""
     if blob[:4] != ANALYSIS_MAGIC:
         raise FormatError("bad magic; not an EELA analysis blob")
     if len(blob) < 6:
@@ -193,9 +251,21 @@ def analysis_from_bytes(blob):
         raise FormatError("unsupported EELA version %d" % version)
     try:
         payload = zlib.decompress(blob[6:])
-        return json.loads(payload.decode("utf-8"))
-    except (zlib.error, ValueError) as exc:
+        (size,) = struct.unpack_from(">I", payload)
+        offset = 4 + size
+        summary = json.loads(payload[4:offset].decode("utf-8"))
+        for row in _fact_rows(summary):
+            if type(row) is list and len(row) == 3 and row[2] is None:
+                (size,) = struct.unpack_from(">I", payload, offset)
+                offset += 4
+                row[2] = payload[offset:offset + size]
+                offset += size
+    except (zlib.error, ValueError, struct.error) as exc:
         raise FormatError("corrupt EELA analysis blob: %s" % exc)
+    if offset != len(payload):
+        raise FormatError("corrupt EELA analysis blob: %d bytes past its "
+                          "records" % (len(payload) - offset))
+    return summary
 
 
 def write_image(image, path):

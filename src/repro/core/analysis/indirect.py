@@ -52,10 +52,8 @@ def table_extent(info):
     The extent every consumer must agree on: data claiming in the
     routine layer, the ``dispatch`` fact rule, and the fuzz manifest
     checks all derive it from here.  *info* may be an
-    :class:`IndirectJumpInfo` or its summary-dict form.
+    :class:`IndirectJumpInfo` or its packed-record form.
     """
-    if isinstance(info, dict):
-        return info["table_addr"], 4 * len(info["targets"])
     return info.table_addr, 4 * len(info.targets)
 
 

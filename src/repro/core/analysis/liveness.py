@@ -93,19 +93,30 @@ def _pre_window_reach(cfg):
 
 
 class LivenessAnalysis:
-    """Per-block live-in/live-out, with point queries inside blocks."""
+    """Per-block live-in/live-out, with point queries inside blocks.
 
-    def __init__(self, cfg, _summary=None):
+    ``in_masks``/``out_masks`` hold the solution as one register mask
+    per block id, and ``pre_window`` (register-window machines only,
+    else None) whether each block can start before the ``save``; the
+    ``liveness`` fact packs exactly these (see
+    :class:`~repro.core.facts.record.LivenessRecord`).
+    """
+
+    def __init__(self, cfg, record=None):
         self.cfg = cfg
         self._sets = {}  # mask -> frozenset, shared by equal answers
         self._live_in = self._live_out = None
-        if _summary is not None:
-            self._restore(_summary)
+        if record is not None:
+            # Adopt a cached or fact-store solution: the record's masks
+            # are the solver's, so point queries work unchanged.
+            self.in_masks = record.live_in
+            self.out_masks = record.live_out
+            self.pre_window = record.pre_window
         else:
             self._solve()
             # Pre-window state by block id; None where there are no
             # register windows.
-            self._pre_window = _pre_window_reach(cfg) \
+            self.pre_window = _pre_window_reach(cfg) \
                 if cfg.codec.arch == "sparc" else None
 
     @property
@@ -113,7 +124,7 @@ class LivenessAnalysis:
         """Registers live on entry to each block, by block id."""
         if self._live_in is None:
             self._live_in = {i: self._set(mask)
-                             for i, mask in enumerate(self._in)}
+                             for i, mask in enumerate(self.in_masks)}
         return self._live_in
 
     @property
@@ -121,44 +132,8 @@ class LivenessAnalysis:
         """Registers live on exit from each block, by block id."""
         if self._live_out is None:
             self._live_out = {i: self._set(mask)
-                              for i, mask in enumerate(self._out)}
+                              for i, mask in enumerate(self.out_masks)}
         return self._live_out
-
-    # ------------------------------------------------------------------
-    # Summaries: persistable solution for the ``liveness`` fact
-    # ------------------------------------------------------------------
-    @classmethod
-    def from_summary(cls, cfg, summary):
-        """Adopt a cached/fact-store solution instead of solving."""
-        return cls(cfg, _summary=summary)
-
-    def to_summary(self):
-        """JSON-ready per-block solution, dense by block id."""
-        summary = {
-            "live_in": [_registers(mask) for mask in self._in],
-            "live_out": [_registers(mask) for mask in self._out],
-        }
-        if self._pre_window:
-            summary["pre_window"] = [1 if flag else 0
-                                     for flag in self._pre_window]
-        return summary
-
-    def _restore(self, summary):
-        """Adopt a cached solution; point queries work unchanged."""
-        masks = {}  # equal register lists recur across blocks
-
-        def mask(regs):
-            key = tuple(regs)
-            value = masks.get(key)
-            if value is None:
-                value = masks[key] = register_mask(key)
-            return value
-
-        self._in = [mask(regs) for regs in summary["live_in"]]
-        self._out = [mask(regs) for regs in summary["live_out"]]
-        pre_window = summary.get("pre_window")
-        self._pre_window = [bool(flag) for flag in pre_window] \
-            if pre_window else None
 
     def _solve(self):
         """Worklist solve over per-block use/def masks."""
@@ -204,8 +179,8 @@ class LivenessAnalysis:
                     if not pending[source]:
                         pending[source] = True
                         work.append(source)
-        self._in = live_in
-        self._out = live_out
+        self.in_masks = live_in
+        self.out_masks = live_out
 
     def _set(self, mask):
         regs = self._sets.get(mask)
@@ -215,7 +190,7 @@ class LivenessAnalysis:
 
     def _pre_window_at(self, block, index):
         """True when position *index* may run in the caller's window."""
-        if not self._pre_window or not self._pre_window[block.id]:
+        if not self.pre_window or not self.pre_window[block.id]:
             return False
         return not any(inst.name == "save"
                        for _, inst in block.instructions[:index])
@@ -223,7 +198,7 @@ class LivenessAnalysis:
     # ------------------------------------------------------------------
     def live_before(self, block, index):
         """Registers live immediately before instruction *index*."""
-        live = self._out[block.id]
+        live = self.out_masks[block.id]
         instructions = block.instructions
         for position in range(len(instructions) - 1, index - 1, -1):
             inst = instructions[position][1].inst
@@ -236,15 +211,15 @@ class LivenessAnalysis:
         """Registers live immediately after instruction *index*."""
         if index + 1 < len(block.instructions):
             return self.live_before(block, index + 1)
-        live = self._out[block.id]
+        live = self.out_masks[block.id]
         if self._pre_window_at(block, len(block.instructions)):
             live |= _SPARC_WINDOW_MASK
         return self._set(live)
 
     def live_on_edge(self, edge):
         """Registers live while traversing *edge*."""
-        live = self._in[edge.dst.id]
-        pre_window = self._pre_window
+        live = self.in_masks[edge.dst.id]
+        pre_window = self.pre_window
         if pre_window and (
             pre_window[edge.dst.id]
             or (pre_window[edge.src.id] and not _has_save(edge.src))

@@ -18,6 +18,9 @@ surrogates, entry/exit) are marked so tools pick an editable spot; the
 paper reports 15-20% of blocks/edges are uneditable.
 """
 
+import itertools
+import types
+
 from repro.isa.base import Category
 from repro.obs import metrics as _metrics
 from repro.obs.trace import span as _span
@@ -50,6 +53,10 @@ EK_COMPUTED = "computed"  # resolved indirect-jump target
 EK_ENTRY = "entry"
 EK_EXIT = "exit"
 EK_ESCAPE = "escape"  # direct transfer out of the routine
+
+
+_NO_SNIPPETS = types.MappingProxyType({})
+_NO_DELETIONS = frozenset()
 
 
 class CFGError(Exception):
@@ -87,18 +94,21 @@ class BasicBlock:
         "editable", "before", "after", "deleted", "cti_addr",
     )
 
-    def __init__(self, block_id, kind, start=None):
+    def __init__(self, block_id, kind, start=None, instructions=None):
         self.id = block_id
         self.kind = kind
         self.start = start
-        self.instructions = []  # list of (addr, Instruction)
+        # list of (addr, Instruction)
+        self.instructions = [] if instructions is None else instructions
         self.succ = []
         self.pred = []
         self.editable = kind == BK_NORMAL or kind == BK_DELAY
         # Edits: index -> [snippets]; index len(instructions) means "at end".
-        self.before = {}
-        self.after = {}
-        self.deleted = set()
+        # Shared read-only empties until the block's first edit of each
+        # kind: most blocks of most CFGs are never edited.
+        self.before = _NO_SNIPPETS
+        self.after = _NO_SNIPPETS
+        self.deleted = _NO_DELETIONS
         self.cti_addr = None  # address of the control transfer ending this block
 
     # -- queries -------------------------------------------------------------
@@ -139,6 +149,8 @@ class BasicBlock:
         """Insert *snippet* before the instruction at *index*."""
         if not self.editable:
             raise CFGError("block %d is not editable" % self.id)
+        if self.before is _NO_SNIPPETS:
+            self.before = {}
         self.before.setdefault(index, []).append(snippet)
 
     def add_code_after(self, index, snippet):
@@ -152,6 +164,8 @@ class BasicBlock:
         if instruction.is_control and not instruction.is_system:
             raise CFGError("cannot add code after a control transfer; "
                            "use the outgoing edges")
+        if self.after is _NO_SNIPPETS:
+            self.after = {}
         self.after.setdefault(index, []).append(snippet)
 
     def delete_instruction(self, index):
@@ -161,6 +175,8 @@ class BasicBlock:
         _, instruction = self.instructions[index]
         if instruction.is_control:
             raise CFGError("cannot delete a control transfer")
+        if self.deleted is _NO_DELETIONS:
+            self.deleted = set()
         self.deleted.add(index)
 
     @property
@@ -191,7 +207,7 @@ class IndirectJumpInfo:
 class CFG:
     """CFG of one routine, with analyses and batch editing."""
 
-    def __init__(self, routine, summary=None):
+    def __init__(self, routine, record=None):
         self.routine = routine
         self.executable = routine.executable
         self.codec = routine.executable.codec
@@ -209,12 +225,15 @@ class CFG:
         self.cti_in_slot = False
         self.unreached = set()  # valid, never-reached addresses in extent
         self._edge_count = 0
-        self._edge_order = []  # edges in creation order (see to_summary)
+        # Edges in creation order: succ/pred list order is semantically
+        # significant (layout assumes ``succ[0]`` is the delay edge of a
+        # call), and the packed record keeps this order.
+        self.edge_order = []
         self._liveness = None  # memoized LivenessAnalysis
-        if summary is None:
+        if record is None:
             self._build()
         else:
-            self._restore(summary)
+            self._restore(record)
 
     # ------------------------------------------------------------------
     # Construction
@@ -230,31 +249,30 @@ class CFG:
         src.succ.append(edge)
         dst.pred.append(edge)
         self._edge_count += 1
-        self._edge_order.append(edge)
+        self.edge_order.append(edge)
         return edge
 
     def _build(self):
         with _span("cfg.build", routine=self.routine.name) as sp:
             self._build_inner()
             sp.set(blocks=len(self.blocks), edges=self._edge_count)
-        self._record_metrics()
-
-    def _record_metrics(self, built=True):
         editable_blocks, blocks, editable_edges, edges = self.editable_stats()
-        if built:
-            _C_BUILDS.inc()
-        else:
-            _C_RESTORES.inc()
-        _C_BLOCKS.inc(blocks)
-        _C_EDGES.inc(edges)
+        _C_BUILDS.inc()
+        self._count_shape(
+            editable_blocks, editable_edges,
+            sum(1 for block in self.blocks if block.kind == BK_DELAY))
+
+    def _count_shape(self, editable_blocks, editable_edges, delay_hoists):
+        """Record the graph's shape counters, the same for a build and
+        a restore so warm-cache reports stay comparable."""
+        _C_BLOCKS.inc(len(self.blocks))
+        _C_EDGES.inc(self._edge_count)
         _C_EDITABLE_BLOCKS.inc(editable_blocks)
         _C_EDITABLE_EDGES.inc(editable_edges)
-        _C_DELAY_HOISTS.inc(
-            sum(1 for block in self.blocks if block.kind == BK_DELAY)
-        )
+        _C_DELAY_HOISTS.inc(delay_hoists)
         if self.incomplete:
             _C_INCOMPLETE.inc()
-        _H_BLOCKS.observe(blocks)
+        _H_BLOCKS.observe(len(self.blocks))
 
     def _build_inner(self):
         from repro.core.analysis.indirect import analyze_indirect_jump
@@ -308,7 +326,7 @@ class CFG:
         self.blocks = []
         self.block_at = {}
         self._edge_count = 0
-        self._edge_order = []
+        self.edge_order = []
         self.data_addrs = set(discovery.table_data)
 
         self.entry = self._new_block(BK_ENTRY)
@@ -505,89 +523,80 @@ class CFG:
             addr += 4
 
     # ------------------------------------------------------------------
-    # Summaries: persistable CFG shape for repro.cache
+    # Restore: the one materializer of packed CFG records
     # ------------------------------------------------------------------
-    def to_summary(self):
-        """JSON-ready description of this CFG (blocks, edges, analyses).
+    def _restore(self, record):
+        """Materialize the CFG from its packed ``cfg`` fact record (see
+        :mod:`repro.core.facts.record`) instead of re-analyzing.
 
-        Edges are serialized in creation order: succ/pred list order is
-        semantically significant (layout assumes ``succ[0]`` is the
-        delay edge of a call, for instance), and replaying creation
-        order through :meth:`_connect` reproduces it exactly.
+        One pass builds the blocks, their instruction runs (slices of
+        the text table's address-ordered pairs) and the edges in
+        creation order, counting the shape counters as it goes.  They
+        are recorded as on a fresh build so warm-cache reports stay
+        comparable, but ``cfg.builds`` is not incremented and the span
+        is ``cfg.restore`` — the analysis itself did not run.
         """
-        blocks = [
-            [block.kind, block.start, block.addresses(),
-             1 if block.editable else 0, block.cti_addr]
-            for block in self.blocks
-        ]
-        edges = [
-            [edge.src.id, edge.dst.id, edge.kind,
-             1 if edge.editable else 0, edge.escape_target]
-            for edge in self._edge_order
-        ]
-        indirect = [
-            {"block": info.block.id, "status": info.status,
-             "table_addr": info.table_addr, "targets": list(info.targets),
-             "literal": info.literal,
-             "patch_sites": [list(site) for site in info.patch_sites],
-             "index_bound": info.index_bound}
-            for info in self.indirect_jumps
-        ]
-        return {
-            "blocks": blocks,
-            "edges": edges,
-            "entry": self.entry.id,
-            "exit": self.exit.id,
-            "indirect": indirect,
-            "data_addrs": sorted(self.data_addrs),
-            "unreached": sorted(self.unreached),
-            "incomplete": 1 if self.incomplete else 0,
-            "cti_in_slot": 1 if self.cti_in_slot else 0,
-        }
+        from repro.core.facts.record import (
+            BLOCK_KINDS, CTI, DELAY, EDGE_KINDS, EDITABLE, ESCAPE, NORMAL)
 
-    def _restore(self, summary):
-        """Rebuild the CFG from a summary instead of re-analyzing.
-
-        Counters for graph *shape* (blocks, edges, hoists, indirect
-        outcomes) are recorded as on a fresh build so warm-cache reports
-        stay comparable, but ``cfg.builds`` is not incremented and the
-        span is ``cfg.restore`` — the analysis itself did not run.
-        """
-        from repro.core.analysis.indirect import record_indirect_outcome
-
-        table = self.executable.text_table()
+        text = self.executable.text_table()
+        pairs = text.pairs()
+        base = text.vaddr
+        blocks = self.blocks
+        block_at = self.block_at
+        editable_blocks = editable_edges = 0
         with _span("cfg.restore", routine=self.routine.name) as sp:
-            for kind, start, addrs, editable, cti_addr in summary["blocks"]:
-                block = self._new_block(kind, start)
-                block.editable = bool(editable)
-                block.cti_addr = cti_addr
-                block.instructions = [(addr, table[addr]) for addr in addrs]
-                if kind == BK_NORMAL:
-                    self.block_at[start] = block
-            self.entry = self.blocks[summary["entry"]]
-            self.exit = self.blocks[summary["exit"]]
-            for src, dst, kind, editable, escape_target in summary["edges"]:
-                self._connect(self.blocks[src], self.blocks[dst], kind,
-                              editable=bool(editable),
-                              escape_target=escape_target)
-            for entry in summary["indirect"]:
-                info = IndirectJumpInfo(
-                    self.blocks[entry["block"]], entry["status"],
-                    table_addr=entry["table_addr"],
-                    targets=entry["targets"],
-                    literal=entry["literal"],
-                    patch_sites=[tuple(site)
-                                 for site in entry["patch_sites"]],
-                    index_bound=entry["index_bound"],
-                )
-                self.indirect_jumps.append(info)
-                record_indirect_outcome(info)
-            self.data_addrs = set(summary["data_addrs"])
-            self.unreached = set(summary["unreached"])
-            self.incomplete = bool(summary["incomplete"])
-            self.cti_in_slot = bool(summary.get("cti_in_slot", 0))
-            sp.set(blocks=len(self.blocks), edges=self._edge_count)
-        self._record_metrics(built=False)
+            for index, code, flags, start, words in zip(
+                    itertools.count(), record.kinds, record.flags,
+                    record.starts, record.words):
+                if code <= DELAY:
+                    first = (start - base) >> 2
+                    block = BasicBlock(index, BLOCK_KINDS[code], start,
+                                       pairs[first:first + words])
+                    if code == NORMAL:
+                        block_at[start] = block
+                    if flags & CTI:
+                        block.cti_addr = start + 4 * words - 4
+                else:
+                    block = BasicBlock(index, BLOCK_KINDS[code])
+                block.editable = flags & EDITABLE == EDITABLE
+                editable_blocks += block.editable
+                blocks.append(block)
+            order = self.edge_order
+            for src, dst, code, flags, escape in zip(
+                    record.edge_src, record.edge_dst, record.edge_kinds,
+                    record.edge_flags, record.escapes):
+                source = blocks[src]
+                target = blocks[dst]
+                edge = Edge(source, target, EDGE_KINDS[code],
+                            flags & EDITABLE == EDITABLE,
+                            escape if flags & ESCAPE else None)
+                source.succ.append(edge)
+                target.pred.append(edge)
+                order.append(edge)
+                editable_edges += edge.editable
+            self._edge_count = len(order)
+            self.entry = blocks[record.entry]
+            self.exit = blocks[record.exit]
+            if record.indirect:
+                from repro.core.analysis.indirect import \
+                    record_indirect_outcome
+
+                for entry in record.indirect:
+                    info = IndirectJumpInfo(
+                        blocks[entry.block], entry.status,
+                        entry.table_addr, entry.targets, entry.literal,
+                        entry.patch_sites, entry.index_bound)
+                    self.indirect_jumps.append(info)
+                    record_indirect_outcome(info)
+            self.data_addrs = set(record.data_addrs)
+            self.unreached = set(record.unreached)
+            self.incomplete = record.incomplete
+            self.cti_in_slot = record.cti_in_slot
+            sp.set(blocks=len(blocks), edges=self._edge_count)
+        _C_RESTORES.inc()
+        self._count_shape(editable_blocks, editable_edges,
+                          record.kinds.count(DELAY))
 
     # ------------------------------------------------------------------
     # Queries and statistics
@@ -640,9 +649,8 @@ class CFG:
             from repro.core.analysis.liveness import LivenessAnalysis
             from repro.core.facts.rules import restorable
 
-            summary = restorable(self.executable, "liveness", self.routine)
-            self._liveness = LivenessAnalysis(self) if summary is None \
-                else LivenessAnalysis.from_summary(self, summary)
+            self._liveness = LivenessAnalysis(
+                self, restorable(self.executable, "liveness", self.routine))
         return self._liveness
 
     def backward_slice(self, block, index, reg):

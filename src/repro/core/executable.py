@@ -79,7 +79,7 @@ class DecodedText(dict):
     ``KeyError``.
     """
 
-    __slots__ = ("image", "codec", "vaddr", "words", "flyweights")
+    __slots__ = ("image", "codec", "vaddr", "words", "flyweights", "_pairs")
 
     def __init__(self, image, codec):
         super().__init__()
@@ -88,6 +88,7 @@ class DecodedText(dict):
         self.vaddr = None
         self.words = ()
         self.flyweights = {}
+        self._pairs = None
         text = image.sections.get(".text")
         if text is not None:
             self.vaddr = text.vaddr
@@ -99,6 +100,14 @@ class DecodedText(dict):
 
     def __missing__(self, addr):
         return instruction_for(self.codec, self.image.word_at(addr))
+
+    def pairs(self):
+        """``(addr, instruction)`` for every ``.text`` word, in address
+        order from ``vaddr`` (built on first use): a run of words is a
+        slice of it."""
+        if self._pairs is None:
+            self._pairs = list(self.items())
+        return self._pairs
 
 
 class Executable:

@@ -10,14 +10,17 @@ re-derives what an edit actually touched:
 * :mod:`repro.core.facts.store` — the :class:`FactStore`: facts keyed
   by ``(kind, routine start)`` with a dependency graph and a dirty set;
 * :mod:`repro.core.facts.rules` — the rules that derive each fact kind
-  and the fixpoint solver that drains the dirty set.
+  and the fixpoint solver that drains the dirty set;
+* :mod:`repro.core.facts.record` — the packed records of the ``cfg``
+  and ``liveness`` kinds, the one place that knows their layout.
 
-Fact kinds (all JSON-ready, all keyed by routine start address):
+Fact kinds (all keyed by routine start address; ``cfg`` and
+``liveness`` are packed records, the others JSON-ready):
 
 =========== ===========================================================
 ``routine`` identity: name, extent, entry points, hidden flag
-``cfg``     the CFG summary (blocks, edges, indirect resolutions)
-``liveness`` the per-block live-register solution
+``cfg``     the CFG record (blocks, edges, indirect resolutions)
+``liveness`` the per-block live-register masks
 ``cti``     delay-slot CTI flag (routines tools must refuse to edit)
 ``dispatch`` dispatch-table extents claimed by indirect-jump slicing
 ``islands`` data-island addresses (claimed data inside the extent)
@@ -28,7 +31,8 @@ Dependencies encode the paper's stage structure: ``cfg`` reads
 ``routine`` (stage 4 reads stages 1-3), everything else reads ``cfg``,
 and ``callsites`` additionally reads the ``routine`` fact of every
 resolved target — which is exactly the edge that makes a callee edit
-invalidate its callers' call-graph facts.
+invalidate its callers' call-graph facts.  They are derived from the
+rule table and the payloads (``rules.deps_of``), never stored.
 """
 
 from repro.core.facts.store import FactStore

@@ -1,8 +1,9 @@
 """Declarative rules over the fact store, and the incremental solver.
 
-Each rule derives one fact kind for one routine and declares what it
-read (the dependency edges the store uses for invalidation).  The rule
-table is the paper's stage structure made explicit:
+Each rule derives one fact kind for one routine, and the rule table
+declares what it reads; :func:`deps_of` turns that into the dependency
+edges the store uses for invalidation.  The table is the paper's stage
+structure made explicit:
 
 * ``routine`` — stages 1-3 output (identity, extents, entry points);
 * ``cfg`` — stage 4 (CFG build with delay normalization and
@@ -13,7 +14,7 @@ table is the paper's stage structure made explicit:
 :func:`solve` drains the store's dirty set as a fixpoint: dirty ``cfg``
 facts force a fresh CFG build (``cfg.builds`` counts them, and
 ``facts.rederived`` counts exactly these); every other dirty fact is
-refreshed from the surviving CFG payloads without building anything
+refreshed from the surviving CFG records without building anything
 (``facts.refreshed``).  When a rebuilt CFG changes its *interprocedural
 signature* — escape targets, dispatch-table extents, unreached-suffix
 shape — the edit may have moved routine boundaries, so the solver
@@ -23,6 +24,7 @@ byte-identical or intra-routine edit never escalates.
 
 import hashlib
 
+from repro.core.facts.record import CFGRecord, LivenessRecord
 from repro.core.facts.store import FactStore
 from repro.core.symtab_refine import routine_identity
 from repro.isa.base import Category
@@ -43,94 +45,109 @@ SEEDED_KINDS = KIND_ORDER[:3]
 
 
 # ----------------------------------------------------------------------
-# Rules: (payload, deps) for one routine each
+# Rules: one payload for one routine each
 # ----------------------------------------------------------------------
 
 def _derive_routine(executable, routine, store):
-    return routine_identity(routine), ()
+    return routine_identity(routine)
 
 
 def _derive_cfg(executable, routine, store):
-    cfg = routine.control_flow_graph()
-    return cfg.to_summary(), (("routine", routine.start),)
+    return CFGRecord.of(routine.control_flow_graph())
 
 
 def _derive_liveness(executable, routine, store):
-    liveness = routine.control_flow_graph().live_registers()
-    return liveness.to_summary(), (("cfg", routine.start),)
+    return LivenessRecord.of(routine.control_flow_graph().live_registers())
 
 
 def _derive_cti(executable, routine, store):
-    payload = ensure(executable, store, "cfg", routine)
-    return ({"cti_in_slot": int(payload["cti_in_slot"]),
-             "incomplete": int(payload["incomplete"])},
-            (("cfg", routine.start),))
+    record = ensure(executable, store, "cfg", routine)
+    return {"cti_in_slot": int(record.cti_in_slot),
+            "incomplete": int(record.incomplete)}
 
 
 def _derive_dispatch(executable, routine, store):
     from repro.core.analysis.indirect import table_extent
 
-    payload = ensure(executable, store, "cfg", routine)
-    tables = [list(table_extent(info)) for info in payload["indirect"]
-              if info["status"] == "table"]
-    return sorted(tables), (("cfg", routine.start),)
+    record = ensure(executable, store, "cfg", routine)
+    return sorted(list(table_extent(info)) for info in record.indirect
+                  if info.status == "table")
 
 
 def _derive_islands(executable, routine, store):
-    payload = ensure(executable, store, "cfg", routine)
-    islands = set(payload["data_addrs"])
+    record = ensure(executable, store, "cfg", routine)
+    islands = set(record.data_addrs)
     for addr, size in ensure(executable, store, "dispatch", routine):
         for offset in range(0, size, 4):
             islands.add(addr + offset)
-    return sorted(islands), (("cfg", routine.start),
-                             ("dispatch", routine.start))
+    return sorted(islands)
 
 
 def _derive_callsites(executable, routine, store):
-    """Outgoing call sites, from the CFG *payload* (no CFG object).
+    """Outgoing call sites, from the CFG *record* (no CFG object).
 
     Re-deriving a caller's call-graph fact after a callee edit must not
     rebuild the caller's CFG, so this rule decodes block tails straight
-    from the summary.  Resolved targets add a dependency on the target
-    routine's identity fact — the transitive-invalidation edge.
+    from the record.  A resolved target names its routine, which makes
+    the site read that routine's identity fact (see :func:`deps_of`) —
+    the transitive-invalidation edge.
     """
-    payload = ensure(executable, store, "cfg", routine)
+    record = ensure(executable, store, "cfg", routine)
     sites = []
-    for kind, start, addrs, _editable, _cti in payload["blocks"]:
-        if kind != "normal" or not addrs:
-            continue
-        addr = addrs[-1]
+    for addr in record.normal_tails():
         inst = executable.instruction_at(addr)
         if inst.category is Category.CALL:
             sites.append({"addr": addr, "kind": "call",
                           "target": inst.target(addr)})
         elif inst.category is Category.CALL_INDIRECT:
             sites.append({"addr": addr, "kind": "indirect", "target": None})
-    for info in payload["indirect"]:
-        if info["status"] == "tailcall":
-            addrs = payload["blocks"][info["block"]][2]
-            sites.append({"addr": addrs[-1], "kind": "tailcall",
-                          "target": info["literal"]})
-    deps = {("cfg", routine.start)}
+    for info in record.indirect:
+        if info.status == "tailcall":
+            sites.append({"addr": record.last_word(info.block),
+                          "kind": "tailcall", "target": info.literal})
     for site in sites:
         target = site["target"]
         if target is not None:
             container = executable.routine_at(target)
             if container is not None:
                 site["routine"] = container.start
-                deps.add(("routine", container.start))
-    return sites, sorted(deps)
+    return sites
 
 
-DERIVE = {
-    "routine": _derive_routine,
-    "cfg": _derive_cfg,
-    "liveness": _derive_liveness,
-    "cti": _derive_cti,
-    "dispatch": _derive_dispatch,
-    "islands": _derive_islands,
-    "callsites": _derive_callsites,
+# kind -> (rule, the kinds of the same routine the rule reads).
+RULES = {
+    "routine": (_derive_routine, ()),
+    "cfg": (_derive_cfg, ("routine",)),
+    "liveness": (_derive_liveness, ("cfg",)),
+    "cti": (_derive_cti, ("cfg",)),
+    "dispatch": (_derive_dispatch, ("cfg",)),
+    "islands": (_derive_islands, ("cfg", "dispatch")),
+    "callsites": (_derive_callsites, ("cfg",)),
 }
+
+
+def deps_of(kind, start, payload):
+    """The facts a *kind* fact of the routine at *start* with *payload*
+    reads: what its rule declares, of the same routine, and for
+    ``callsites`` the ``routine`` fact of every resolved target.
+
+    Dependencies are derived, never stored: derivation, hydration and
+    seeding all wire the store's edges from here.
+    """
+    deps = [(read, start) for read in RULES[kind][1]]
+    if kind == "callsites":
+        for site in payload:
+            if "routine" in site:
+                deps.append(("routine", site["routine"]))
+    return deps
+
+
+def _derive(executable, store, kind, routine):
+    """Run *kind*'s rule for *routine* and assert the result."""
+    payload = RULES[kind][0](executable, routine, store)
+    store.put(kind, routine.start, payload,
+              deps_of(kind, routine.start, payload))
+    return payload
 
 
 def ensure(executable, store, kind, routine):
@@ -139,9 +156,7 @@ def ensure(executable, store, kind, routine):
     payload = store.get(kind, routine.start)
     if payload is not None and not store.is_dirty(kind, routine.start):
         return payload
-    payload, deps = DERIVE[kind](executable, routine, store)
-    store.put(kind, routine.start, payload, deps)
-    return payload
+    return _derive(executable, store, kind, routine)
 
 
 def restorable(executable, kind, routine):
@@ -226,7 +241,7 @@ def seed(executable, adopt=None):
     if adopt is None:
         return FactStore()
     table, hashes = adopt
-    store = FactStore.from_summary(table)
+    store = FactStore.from_summary(table, deps_of)
     for start, identity in store.facts_of_kind("routine").items():
         kept = hashes.get(start) == text_hash(executable, start,
                                               identity["end"])
@@ -240,7 +255,7 @@ def seed(executable, adopt=None):
 # The incremental solver
 # ----------------------------------------------------------------------
 
-def _interproc_signature(payload):
+def _interproc_signature(record):
     """What other routines can observe of this CFG.
 
     Escape targets (where control leaves the extent), dispatch-table
@@ -249,13 +264,10 @@ def _interproc_signature(payload):
     that preserves this signature cannot perturb refinement's routine
     set, so its effects stay local to the routine's own facts.
     """
-    escapes = sorted({edge[4] for edge in payload["edges"]
-                      if edge[4] is not None})
-    tables = sorted((info["table_addr"], len(info["targets"]))
-                    for info in payload["indirect"]
-                    if info["status"] == "table")
-    return (tuple(escapes), tuple(tables), bool(payload["unreached"]),
-            bool(payload["incomplete"]))
+    tables = sorted((info.table_addr, len(info.targets))
+                    for info in record.indirect if info.status == "table")
+    return (tuple(sorted(record.escape_targets())), tuple(tables),
+            bool(record.unreached), record.incomplete)
 
 
 def _escalate(executable, store):
@@ -307,9 +319,7 @@ def solve(executable, store, max_rounds=8):
                     if kind == "cfg":
                         old = store.get("cfg", key)
                         routine.delete_control_flow_graph()
-                        payload, deps = _derive_cfg(executable, routine,
-                                                    store)
-                        store.put("cfg", key, payload, deps)
+                        payload = _derive(executable, store, "cfg", routine)
                         rederived += 1
                         _C_REDERIVED.inc()
                         if old is not None and _interproc_signature(old) \
@@ -318,9 +328,7 @@ def solve(executable, store, max_rounds=8):
                             sp.set(escalated=True, rederived=rederived)
                             return rederived, refreshed
                     else:
-                        payload, deps = DERIVE[kind](executable, routine,
-                                                     store)
-                        store.put(kind, key, payload, deps)
+                        _derive(executable, store, kind, routine)
                         refreshed += 1
                         _C_REFRESHED.inc()
         sp.set(rederived=rederived, refreshed=refreshed)

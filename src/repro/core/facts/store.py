@@ -1,9 +1,10 @@
 """The fact store: facts, dependencies, dirty-set propagation.
 
 A fact is ``(kind, key) -> payload`` where *key* is a routine start
-address and *payload* is JSON-ready.  Facts carry explicit dependency
-edges; invalidating a fact walks the reverse edges and marks every
-transitively dependent fact dirty.  The store never recomputes
+address and *payload* is JSON-ready or, for ``cfg`` and ``liveness``,
+a packed record (:mod:`repro.core.facts.record`).  Facts carry
+explicit dependency edges; invalidating a fact walks the reverse edges
+and marks every transitively dependent fact dirty.  The store never recomputes
 anything itself — :mod:`repro.core.facts.rules` drains the dirty set.
 
 Versions count payload *changes* (not re-derivations): a fact that is
@@ -26,6 +27,9 @@ class FactStore:
         self._deps = {}  # fact -> frozenset of facts it reads
         self._rdeps = {}  # fact -> set of facts that read it
         self._dirty = set()
+        # Set by from_summary: derives the edges of the facts it loaded,
+        # wired on the first write or invalidation (see _wire).
+        self._deps_of = None
 
     def __len__(self):
         return len(self._facts)
@@ -42,20 +46,36 @@ class FactStore:
         Re-asserting marks the fact clean and rewires its dependency
         edges; the version bumps only on a real payload change.
         """
+        self._wire()
         fact = (kind, key)
         changed = self._facts.get(fact) != payload or fact not in self._facts
         self._facts[fact] = payload
         if changed:
             self._versions[fact] = self._versions.get(fact, 0) + 1
+        self._link(fact, deps)
+        self._dirty.discard(fact)
+        _C_DERIVED.inc()
+        return changed
+
+    def _link(self, fact, deps):
+        """Make *deps* the facts *fact* reads."""
         new_deps = frozenset(tuple(dep) for dep in deps)
         for dep in self._deps.get(fact, frozenset()) - new_deps:
             self._rdeps.get(dep, set()).discard(fact)
         for dep in new_deps:
             self._rdeps.setdefault(dep, set()).add(fact)
         self._deps[fact] = new_deps
-        self._dirty.discard(fact)
-        _C_DERIVED.inc()
-        return changed
+
+    def _wire(self):
+        """Give the facts :meth:`from_summary` loaded their edges.
+
+        Deferred to the first write or invalidation: a warm read that
+        only reads facts never needs the edges.
+        """
+        deps_of, self._deps_of = self._deps_of, None
+        if deps_of is not None:
+            for fact, payload in self._facts.items():
+                self._link(fact, deps_of(fact[0], fact[1], payload))
 
     def get(self, kind, key):
         return self._facts.get((kind, key))
@@ -84,6 +104,7 @@ class FactStore:
         Returns the set of fact ids newly marked; counts each in
         ``facts.invalidated``.
         """
+        self._wire()
         marked = set()
         work = [(kind, key)]
         while work:
@@ -102,6 +123,7 @@ class FactStore:
 
     def drop(self, kind, key):
         """Forget a fact entirely (a routine that no longer exists)."""
+        self._wire()
         fact = (kind, key)
         self._facts.pop(fact, None)
         self._versions.pop(fact, None)
@@ -111,6 +133,7 @@ class FactStore:
         self._rdeps.pop(fact, None)
 
     def clear(self):
+        self._deps_of = None
         self._facts.clear()
         self._versions.clear()
         self._deps.clear()
@@ -121,46 +144,38 @@ class FactStore:
     # Persistence (the cache blob's "facts" table)
     # ------------------------------------------------------------------
     def to_summary(self):
-        """JSON-ready fact table: facts plus dependency edges.
+        """The fact table: ``[kind, key, payload]`` rows sorted by fact.
 
-        The dirty set is not persisted — a summary is only taken of a
-        fully solved store, and hydration starts clean by construction.
+        Neither the dirty set nor the dependency edges are part of it —
+        a summary is only taken of a fully solved store, hydration
+        starts clean by construction, and the edges are derived again
+        from the payloads (see :meth:`from_summary`).
         """
-        facts = [[kind, key, self._facts[(kind, key)]]
-                 for kind, key in sorted(self._facts)]
-        deps = []
-        for fact in sorted(self._facts):
-            dep_set = self._deps.get(fact)
-            if dep_set:
-                deps.append([list(fact),
-                             sorted(list(dep) for dep in dep_set)])
-        return {"facts": facts, "deps": deps}
+        facts = self._facts
+        return [[kind, key, facts[(kind, key)]]
+                for kind, key in sorted(facts)]
 
     @classmethod
-    def from_summary(cls, data):
-        """Rebuild a store from :meth:`to_summary` output.
+    def from_summary(cls, rows, deps_of):
+        """Rebuild a store from ``[kind, key, payload]`` *rows*; each
+        fact reads ``deps_of(kind, key, payload)``, wired when first
+        needed.
 
-        Returns None when *data* is structurally malformed — the caller
-        treats that as a cache miss, never a partial hydrate.
+        Returns None when *rows* are structurally malformed — the
+        caller treats that as a cache miss, never a partial hydrate.
+        The caller also makes sure every edge will resolve: hydration
+        checks that every routine has every fact kind and that every
+        call-site target names a routine fact.
         """
-        if not isinstance(data, dict):
-            return None
         store = cls()
         facts = store._facts
         try:
-            for kind, key, payload in data["facts"]:
-                if not isinstance(kind, str) or not isinstance(key, int):
+            for kind, key, payload in rows:
+                if type(kind) is not str or type(key) is not int:
                     return None
                 facts[(kind, key)] = payload
-            for fact_entry, deps in data.get("deps", ()):
-                fact = tuple(fact_entry)
-                dep_set = frozenset(map(tuple, deps))
-                if fact not in facts or not dep_set <= facts.keys():
-                    return None  # dangling edge: invalidation would skip it
-                store._deps[fact] = dep_set
-                for dep in dep_set:
-                    store._rdeps.setdefault(dep, set()).add(fact)
-        except (KeyError, TypeError, ValueError):
+        except (TypeError, ValueError):
             return None
         store._versions = dict.fromkeys(facts, 1)
+        store._deps_of = deps_of
         return store

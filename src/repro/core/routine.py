@@ -53,8 +53,7 @@ class Routine:
             from repro.core.cfg import CFG
             from repro.core.facts.rules import restorable
 
-            self._cfg = CFG(self, summary=restorable(self.executable, "cfg",
-                                                     self))
+            self._cfg = CFG(self, restorable(self.executable, "cfg", self))
             for info in self._cfg.indirect_jumps:
                 if info.status == "table":
                     addr, size = table_extent(info)

@@ -9,6 +9,7 @@ from repro.core.analysis.dominators import dominates, dominators
 from repro.core.analysis.liveness import LivenessAnalysis
 from repro.core.analysis.loops import natural_loops
 from repro.core.cfg import BK_SURROGATE
+from repro.core.facts.record import LivenessRecord
 from repro.fuzz.gen import GenConfig, generate
 from repro.isa import get_conventions
 from repro.minic import GCC_LIKE, SUNPRO_LIKE, compile_to_image
@@ -190,10 +191,10 @@ def _check_against_reference(cfg, liveness):
             (where, block, "live_in")
         assert liveness.live_out[block.id] == live_out[block.id], \
             (where, block, "live_out")
-    pre_window = liveness.to_summary().get("pre_window")
+    pre_window = LivenessRecord.of(liveness).pre_window
     if cfg.codec.arch == "sparc":
-        assert pre_window == [int(pre[block.id]) for block in cfg.blocks], \
-            where
+        assert list(pre_window) == [int(pre[block.id])
+                                    for block in cfg.blocks], where
     else:
         assert pre_window is None, where
 
@@ -245,7 +246,7 @@ def test_liveness_matches_set_reference(name):
     """Every routine: live_in/live_out, pre-window flags, live_before
     and live_after at every instruction, and live_on_edge on every edge
     equal the set-based reference — for a fresh solve and for an
-    analysis restored from its own summary."""
+    analysis restored from its own packed record."""
     executable = Executable(_liveness_image(name)).read_contents()
     routines = executable.all_routines()
     assert routines
@@ -253,7 +254,7 @@ def test_liveness_matches_set_reference(name):
         cfg = routine.control_flow_graph()
         solved = LivenessAnalysis(cfg)
         _check_against_reference(cfg, solved)
-        restored = LivenessAnalysis.from_summary(cfg, solved.to_summary())
+        restored = LivenessAnalysis(cfg, LivenessRecord.of(solved))
         _check_against_reference(cfg, restored)
 
 

@@ -16,6 +16,7 @@ from repro.binfmt.serialize import (
     analysis_to_bytes,
 )
 from repro.core import Executable
+from repro.core.facts.record import CFGRecord, Indirect, LivenessRecord
 from repro.obs import metrics
 from repro.workloads import build_image, build_mips_image, expected_output
 from repro.workloads.builder import mips_program_names, program_names
@@ -48,14 +49,14 @@ def _env(**values):
 
 
 def _analysis_of(executable):
-    """{routine name: (cfg summary, liveness summary)} — the comparison
-    surface for fresh-vs-restored equality (CFG edges, liveness sets,
-    and jump-table targets all live in these dicts)."""
+    """{routine name: (cfg record, liveness record)} — the comparison
+    surface for fresh-vs-restored equality (CFG edges, liveness masks,
+    and jump-table targets all live in these packed records)."""
     out = {}
     for routine in executable.all_routines():
         cfg = routine.control_flow_graph()
-        out[routine.name] = (cfg.to_summary(),
-                             cfg.live_registers().to_summary())
+        out[routine.name] = (CFGRecord.of(cfg).raw,
+                             LivenessRecord.of(cfg.live_registers()).raw)
     return out
 
 
@@ -368,20 +369,20 @@ def test_old_version_blob_misses_cleanly(tmp_path):
         assert _analysis_of(warm) == _analysis_of(exe)
 
 
-def _first_payload(summary, kind):
+def _first_row(summary, kind):
     """The first *kind* fact's row in the blob's fact table."""
-    return next(row for row in summary["facts"]["facts"] if row[0] == kind)
+    return next(row for row in summary["facts"] if row[0] == kind)
 
 
 def _set_payload(kind, payload):
     def mutate(summary):
-        _first_payload(summary, kind)[2] = payload
+        _first_row(summary, kind)[2] = payload
         return summary
     return mutate
 
 
 def _drop_identity_end(summary):
-    del _first_payload(summary, "routine")[2]["end"]
+    del _first_row(summary, "routine")[2]["end"]
     return summary
 
 
@@ -390,30 +391,111 @@ def _drop_facts(summary):
     return summary
 
 
-def _shorten_live_in(summary):
-    liveness = _first_payload(summary, "liveness")[2]
-    liveness["live_in"] = liveness["live_in"][:-1]
-    return summary
-
-
 def _add_unknown_kind(summary):
-    start = _first_payload(summary, "routine")[1]
-    summary["facts"]["facts"].append(["no-such-kind", start, {}])
+    start = _first_row(summary, "routine")[1]
+    summary["facts"].append(["no-such-kind", start, {}])
     return summary
 
 
-# Blobs with the right magic, version and encoding but the wrong shape:
-# each must read as a miss, not crash a later view.
+def _main_rows(summary):
+    """The identity, cfg-record and liveness-record rows of fib's
+    ``main``, a routine with calls, delay blocks and escapes."""
+    start = next(row[1] for row in summary["facts"]
+                 if row[0] == "routine" and row[2]["name"] == "main")
+    return [next(row for row in summary["facts"]
+                 if row[0] == kind and row[1] == start)
+            for kind in ("routine", "cfg", "liveness")]
+
+
+def _doctor(kind, change):
+    """A mutation repacking main's *kind* record with the fields
+    ``change(record, identity)`` returns (or, for bytes, those bytes)."""
+    def mutate(summary):
+        identity, cfg_row, liveness_row = _main_rows(summary)
+        row = cfg_row if kind == "cfg" else liveness_row
+        record = CFGRecord.unpack(cfg_row[2])
+        if kind == "liveness":
+            record = LivenessRecord.unpack(row[2], len(record.kinds),
+                                           windows=True)
+        fields = change(record, identity[2])
+        row[2] = fields if isinstance(fields, bytes) \
+            else record.replace(**fields).raw
+        return summary
+    return mutate
+
+
+def _first_of(record, code):
+    return record.kinds.index(code)
+
+
+def _with(values, index, value):
+    values = list(values)
+    values[index] = value
+    return values
+
+
+# Blobs with the right magic, version and encoding but the wrong shape
+# or a reference that does not resolve: each must read as a miss, not
+# crash a later view.
 _MALFORMED = {
     "fact-list-not-a-list": lambda summary: dict(
-        summary, facts={"facts": "not-a-fact-list", "deps": []}),
-    "payload-is-a-list": lambda summary: [summary],
+        summary, facts="not-a-fact-list"),
+    "payload-is-a-list": lambda summary: [summary["provenance"]],
     "no-fact-table": _drop_facts,
     "identity-without-end": _drop_identity_end,
-    "cfg-payload-empty": _set_payload("cfg", {}),
-    "liveness-live-in-string": _set_payload("liveness", {"live_in": "x"}),
-    "liveness-one-block-short": _shorten_live_in,
+    "cfg-payload-empty": _set_payload("cfg", b""),
+    "liveness-live-in-string": _set_payload("liveness", "x"),
+    "liveness-one-block-short": _doctor("liveness", lambda r, i: dict(
+        live_in=r.live_in[:-1], live_out=r.live_out[:-1],
+        pre_window=r.pre_window[:-1])),
     "unknown-fact-kind": _add_unknown_kind,
+    # Each reference a CFG record makes.
+    "cfg-unknown-block-kind": _doctor("cfg", lambda r, i: dict(
+        kinds=_with(r.kinds, 0, 9))),
+    "cfg-unknown-edge-kind": _doctor("cfg", lambda r, i: dict(
+        edge_kinds=_with(r.edge_kinds, 0, 77))),
+    "cfg-edge-source-out-of-range": _doctor("cfg", lambda r, i: dict(
+        edge_src=_with(r.edge_src, 0, 999))),
+    "cfg-edge-target-out-of-range": _doctor("cfg", lambda r, i: dict(
+        edge_dst=_with(r.edge_dst, len(r.edge_dst) - 1, 999))),
+    "cfg-entry-out-of-range": _doctor("cfg", lambda r, i: dict(entry=999)),
+    "cfg-exit-out-of-range": _doctor("cfg", lambda r, i: dict(exit=999)),
+    "cfg-indirect-block-out-of-range": _doctor("cfg", lambda r, i: dict(
+        indirect=[Indirect(999, "unanalyzable", None, (), None, (),
+                           None)])),
+    # A patch-site role code is the record's last byte when its one
+    # indirect jump has one site.
+    "cfg-indirect-unknown-role": _doctor("cfg", lambda r, i: r.replace(
+        indirect=[Indirect(_first_of(r, 0), "literal", None, (), 0,
+                           ((i["start"], "hi22"),), None)]).raw[:-1]
+        + bytes([99])),
+    "cfg-block-outside-routine": _doctor("cfg", lambda r, i: dict(
+        starts=_with(r.starts, _first_of(r, 0), i["end"]))),
+    "cfg-block-unmapped": _doctor("cfg", lambda r, i: dict(
+        starts=_with(r.starts, _first_of(r, 0), 0x7FFF0000))),
+    "cfg-delay-word-unmapped": _doctor("cfg", lambda r, i: dict(
+        starts=_with(r.starts, _first_of(r, 1), 0x7FFF0000))),
+    "cfg-delay-block-of-two-words": _doctor("cfg", lambda r, i: dict(
+        words=_with(r.words, _first_of(r, 1), 2))),
+    "cfg-pseudo-block-with-words": _doctor("cfg", lambda r, i: dict(
+        words=_with(r.words, r.entry, 1))),
+    "cfg-chunk-short": _doctor("cfg", lambda r, i: dict(
+        starts=r.starts[:-1])),
+    "cfg-trailing-bytes": _doctor("cfg", lambda r, i: r.raw + b"\0"),
+    "cfg-truncated": _doctor("cfg", lambda r, i: r.raw[:-3]),
+    # ... and each a liveness record makes.
+    "liveness-pre-window-short": _doctor("liveness", lambda r, i: dict(
+        pre_window=r.pre_window[:-1])),
+    "liveness-without-pre-window": _doctor("liveness", lambda r, i: dict(
+        pre_window=None)),
+    "liveness-trailing-bytes": _doctor("liveness",
+                                       lambda r, i: r.raw + b"\0"),
+    # A call site whose target routine has no identity fact: the
+    # derived dependency edge would dangle.
+    "callsites-dangling-target": lambda summary: _first_row(
+        summary, "callsites")[2].append(
+            {"addr": 0, "kind": "call", "target": 0, "routine": 0x7FFF0000}
+        ) or summary,
 }
 
 
@@ -444,14 +526,9 @@ def test_partial_fact_table_rejected_not_partially_hydrated(tmp_path):
         entries = glob.glob(str(tmp_path / "*.eela"))
 
         def _drop_liveness(summary):
-            table = summary["facts"]
-            victim = next(key for kind, key, _p in table["facts"]
-                          if kind == "liveness")
-            table["facts"] = [row for row in table["facts"]
-                              if not (row[0] == "liveness"
-                                      and row[1] == victim)]
-            table["deps"] = [row for row in table["deps"]
-                             if row[0] != ["liveness", victim]]
+            victim = _first_row(summary, "liveness")[1]
+            summary["facts"] = [row for row in summary["facts"]
+                                if row[:2] != ["liveness", victim]]
             return summary
 
         _rewrite_blob(entries[0], _drop_liveness)
@@ -500,7 +577,7 @@ def test_restore_reports_the_stored_metadata_status(tmp_path, stale):
 
 
 def test_hydrated_store_supports_incremental_invalidation(tmp_path):
-    """The point of persisting the dependency edges: a restored store
+    """The dependency edges hydration derives: a restored store
     propagates dirtiness exactly like the one that was saved."""
     with _env(REPRO_CACHE="on", REPRO_CACHE_DIR=str(tmp_path)):
         Executable(build_image("fib")).read_contents()

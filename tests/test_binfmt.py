@@ -67,6 +67,34 @@ def test_truncated():
         image_from_bytes(blob[: len(blob) // 2])
 
 
+def test_symbol_table_cut_anywhere_is_truncated():
+    """Cut a corpus image at every offset of its symbol table: each
+    prefix is a typed truncation, never a struct or decode error."""
+    from repro.workloads import build_image
+
+    image = build_image("fib")
+    blob = image_to_bytes(image)
+
+    def string(text):
+        return 2 + len(text.encode("utf-8"))
+
+    start = (4 + 2 + 1 + string(image.arch) + 4 + 2 + 4 + 4
+             + sum(string(section.name) + 9
+                   for section in image.sections.values()))
+    end = start + sum(string(symbol.name) + 4 + string(symbol.kind)
+                      + string(symbol.binding) + 4 + string(symbol.section)
+                      for symbol in image.symbols)
+    assert image.symbols and end < len(blob)
+    for cut in range(start, end + 1):
+        with pytest.raises(FormatError, match="truncated EELF file"):
+            image_from_bytes(blob[:cut])
+    back = image_from_bytes(blob)
+    assert [(s.name, s.value, s.kind, s.binding, s.size, s.section)
+            for s in back.symbols] == \
+        [(s.name, s.value, s.kind, s.binding, s.size, s.section)
+         for s in image.symbols]
+
+
 def test_section_queries():
     image = _sample_image()
     assert image.section_at(0x1004).name == ".text"

@@ -111,31 +111,43 @@ def test_drop_removes_fact_and_edges():
 
 
 def test_summary_round_trip_preserves_dependency_graph():
+    """The table stores no edges: from_summary derives them from the
+    payloads with the rule table, call-site targets included."""
     store = FactStore()
     store.put("routine", 100, {"name": "a"})
-    store.put("cfg", 100, {"blocks": []}, (("routine", 100),))
-    store.put("callsites", 100, {"sites": []}, (("cfg", 100),))
-    restored = FactStore.from_summary(store.to_summary())
+    store.put("routine", 200, {"name": "b"})
+    sites = [{"addr": 104, "kind": "call", "target": 200, "routine": 200}]
+    for kind, key, payload in (("cfg", 100, b"record"),
+                               ("callsites", 100, sites)):
+        store.put(kind, key, payload, fact_rules.deps_of(kind, key, payload))
+    restored = FactStore.from_summary(store.to_summary(),
+                                      fact_rules.deps_of)
     assert restored is not None
     assert len(restored) == len(store)
-    assert restored.get("cfg", 100) == {"blocks": []}
+    assert restored.get("callsites", 100) == sites
+    # The edges are wired on the first invalidation.
     assert restored.invalidate("routine", 100) == {
         ("routine", 100), ("cfg", 100), ("callsites", 100)}
+    assert restored.invalidate("routine", 200) == {("routine", 200)}
+    assert restored.is_dirty("callsites", 100)
 
 
 @pytest.mark.parametrize("mangle", [
-    lambda s: "nope",
-    lambda s: {"facts": "nope", "deps": []},
-    lambda s: {"facts": [["cfg", "notanint", {}]], "deps": []},
-    lambda s: {"facts": [[123, 4, {}]], "deps": []},
-    # dangling dependency edge: references a fact that is not present
-    lambda s: {"facts": [["cfg", 4, {}]],
-               "deps": [[["cfg", 4], [["routine", 4]]]]},
+    lambda rows: "nope",
+    lambda rows: [["cfg", "notanint", b""]],
+    lambda rows: [[123, 4, {}]],
+    lambda rows: rows + [["cfg", 4]],
+    # Dangling edges are the hydrating caller's check (every routine
+    # has every kind, every call-site target names a routine fact:
+    # tests/test_analysis_cache.py); the store rejects rows that are
+    # not rows.
+    lambda rows: rows + [None],
 ])
 def test_from_summary_rejects_malformed_tables(mangle):
     store = FactStore()
     store.put("routine", 100, {})
-    assert FactStore.from_summary(mangle(store.to_summary())) is None
+    assert FactStore.from_summary(mangle(store.to_summary()),
+                                  fact_rules.deps_of) is None
 
 
 # ----------------------------------------------------------------------
@@ -211,10 +223,11 @@ def test_signature_change_escalates_to_full_refinement():
     locally — the solver must re-run whole-image refinement."""
     executable, store = _populated("fib")
     main = _routine(executable, "main")
-    doctored = dict(store.get("cfg", main.start))
-    doctored["unreached"] = sorted(set(doctored.get("unreached", []))
-                                   | {main.end - 4})
-    store.put("cfg", main.start, doctored, (("routine", main.start),))
+    record = store.get("cfg", main.start)
+    doctored = record.replace(
+        unreached=sorted(set(record.unreached) | {main.end - 4}))
+    store.put("cfg", main.start, doctored,
+              fact_rules.deps_of("cfg", main.start, doctored))
     metrics.reset()
     executable.invalidate_routine("main")
     fact_rules.solve(executable, store)

@@ -13,12 +13,14 @@ refinement's.  The trust paths must also agree on qpt-instrumented
 output bytes and cosim verdicts.
 """
 
-import json
-
 import pytest
 
 from repro.binfmt.meta import attach_meta, has_meta
-from repro.binfmt.serialize import image_from_bytes, image_to_bytes
+from repro.binfmt.serialize import (
+    analysis_to_bytes,
+    image_from_bytes,
+    image_to_bytes,
+)
 from repro.core import trust
 from repro.core.executable import Executable
 from repro.core.facts import rules as fact_rules
@@ -96,7 +98,9 @@ def _state(executable):
     """What every entry path must agree on, after ``rules.populate``."""
     store = executable.fact_store()
     fact_rules.populate(executable, store)
-    return (json.dumps(store.to_summary(), sort_keys=True),
+    return (analysis_to_bytes({"facts": [
+                [kind, key, getattr(payload, "raw", payload)]
+                for kind, key, payload in store.to_summary()]}),
             [routine_identity(r) for r in executable.routines()],
             [routine_identity(r) for r in executable.hidden_routines()],
             {r.start: sorted(executable.claimed_data(r))
