@@ -15,6 +15,18 @@ from repro.workloads import build_image, program_names
 
 WORKLOADS = ("fib", "interp", "qsort", "hanoi", "sieve")
 
+# The exact E12 figures per workload: instructions the original runs,
+# then counters placed and instructions run in block mode and in edge
+# mode.  Counter placement, layout and the simulator are deterministic,
+# so any change here is a change in what qpt places or layout emits.
+EXPECTED = {
+    "fib": (93045, 55, 175769, 17, 121469),
+    "interp": (9984, 106, 15040, 46, 11972),
+    "qsort": (94580, 75, 132228, 24, 114155),
+    "hanoi": (258059, 55, 389167, 17, 303115),
+    "sieve": (153519, 58, 229163, 19, 196554),
+}
+
 
 def _ground_truth(image):
     base = run_image(image, count_pcs=True)
@@ -40,7 +52,9 @@ def _measure(name):
                     for key, value in counts.items())
         out[mode] = (simulator.instructions_executed
                      / base.instructions_executed,
-                     tool.counters.used, exact)
+                     tool.counters.used, exact,
+                     simulator.instructions_executed)
+    out["original"] = base.instructions_executed
     return out
 
 
@@ -62,3 +76,7 @@ def test_profiling_overhead(benchmark):
         assert modes["block"][2] and modes["edge"][2], name
         assert modes["edge"][0] < modes["block"][0], name
         assert modes["edge"][1] < modes["block"][1], name
+    # And exactly the measured figures.
+    assert {name: (modes["original"], modes["block"][1], modes["block"][3],
+                   modes["edge"][1], modes["edge"][3])
+            for name, modes in results.items()} == EXPECTED

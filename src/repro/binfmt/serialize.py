@@ -57,6 +57,35 @@ def _pack_str(text):
     return struct.pack(">H", len(raw)) + raw
 
 
+# A symbol record: name, value, kind, binding, size, section, each
+# string a u16 byte length and its UTF-8 bytes.
+_SYMBOL_RECORD = ">H%dsIH%dsH%dsIH%ds"
+
+
+def _pack_symbols(symbols):
+    """The symbol records, each packed in one step.  Symbols mostly
+    share their kind, binding and section, so those strings are encoded
+    once per distinct triple."""
+    out = bytearray()
+    encoded = {}  # (kind, binding, section) -> their lengths and bytes
+    for symbol in symbols:
+        shared = (symbol.kind, symbol.binding, symbol.section)
+        if shared not in encoded:
+            kind, binding, section = [text.encode("utf-8")
+                                      for text in shared]
+            encoded[shared] = (len(kind), kind, len(binding), binding,
+                               len(section), section)
+        kind_len, kind, binding_len, binding, section_len, section = \
+            encoded[shared]
+        name = symbol.name.encode("utf-8")
+        name_len = len(name)
+        out += struct.pack(
+            _SYMBOL_RECORD % (name_len, kind_len, binding_len, section_len),
+            name_len, name, symbol.value, kind_len, kind, binding_len,
+            binding, symbol.size, section_len, section)
+    return out
+
+
 class _Reader:
     def __init__(self, blob):
         self.blob = blob
@@ -107,13 +136,7 @@ def image_to_bytes(image):
     for section in sections:
         out += _pack_str(section.name)
         out += struct.pack(">IIB", section.vaddr, section.size, section.flags)
-    for symbol in image.symbols:
-        out += _pack_str(symbol.name)
-        out += struct.pack(">I", symbol.value)
-        out += _pack_str(symbol.kind)
-        out += _pack_str(symbol.binding)
-        out += struct.pack(">I", symbol.size)
-        out += _pack_str(symbol.section)
+    out += _pack_symbols(image.symbols)
     for section_name, reloc in reloc_items:
         out += _pack_str(section_name)
         out += struct.pack(">I", reloc.offset)

@@ -60,16 +60,14 @@ _SPARC_WINDOW_MASK = register_mask(range(8, 32))
 
 def _registers(mask):
     """Register numbers set in *mask*, ascending."""
-    regs = []
-    while mask:
-        low = mask & -mask
-        regs.append(low.bit_length() - 1)
-        mask ^= low
-    return regs
+    return [reg for reg, bit in enumerate(bin(mask)[:1:-1]) if bit == "1"]
 
 
 def _has_save(block):
-    return any(inst.name == "save" for _, inst in block.instructions)
+    for _, instruction in block.instructions:
+        if instruction.inst.name == "save":
+            return True
+    return False
 
 
 def _pre_window_reach(cfg):
@@ -192,8 +190,10 @@ class LivenessAnalysis:
         """True when position *index* may run in the caller's window."""
         if not self.pre_window or not self.pre_window[block.id]:
             return False
-        return not any(inst.name == "save"
-                       for _, inst in block.instructions[:index])
+        for _, instruction in block.instructions[:index]:
+            if instruction.inst.name == "save":
+                return False
+        return True
 
     # ------------------------------------------------------------------
     def live_before(self, block, index):

@@ -1,26 +1,42 @@
 """Edited-routine layout (paper section 3.3.1).
 
-``lay_out_routine`` turns an edited CFG back into machine code:
+``lay_out_routine`` turns an edited CFG back into machine code in one
+pass over its blocks.  It emits the routine into an
+:class:`EditedRoutine` holding
 
-* each stretch of untouched straight-line words is copied as one byte
-  run, so emission work follows the edits, not the routine's length;
-* snippets receive registers (scavenged or spilled) and are placed;
-* unedited delay slots are re-folded into their control transfer;
-* edited branch edges are routed through out-of-line stubs;
-* dispatch-table entries are redirected to edited targets (or to stubs
-  carrying edge snippets);
-* literal-target jumps (including frame-pop tail calls) have their
-  address-forming instructions re-pointed;
-* unanalyzable indirect jumps fall back to run-time address translation
-  through an original→edited table.
+* the routine's bytes: each stretch of untouched straight-line words is
+  copied from ``.text`` as one run, and every word whose value is
+  already known (a snippet's, a rewritten or synthesized instruction's)
+  is packed as it is emitted, so the work follows the edits and blocks,
+  not the routine's length;
+* a short fixup list for the words that need final addresses: branches
+  and transfers to re-target, literal-address patches, synthesized
+  jumps and snippet call-backs;
+* a placement log: the offset of every label, and the offset of every
+  original word placed.
 
-``finalize_image`` assembles every edited routine (plus tool-added
-routines and data) into the output executable, builds the address map,
-patches dispatch tables, and installs trampolines at original entry
-points so unedited callers still reach edited code.
+Along the way snippets receive registers (scavenged or spilled),
+unedited delay slots are re-folded into their control transfer, edited
+branch edges are routed through out-of-line stubs, dispatch-table
+entries are redirected to edited targets (or to stubs carrying edge
+snippets), literal-target jumps (including frame-pop tail calls) have
+their address-forming instructions re-pointed, and unanalyzable
+indirect jumps fall back to run-time address translation through an
+original→edited table.
+
+``finalize_image`` places whole routines one after another and checks
+every short synthesized jump's span.  A jump that does not reach grows
+to its long form, which re-emits that routine's bytes with everything
+after the jump moved down, and placement repeats until nothing grows.
+Then it applies the fixups, concatenates the routines (after any
+tool-added routines and data) into the new text, builds the address
+map, patches dispatch tables, and installs trampolines at original
+entry points so unedited callers still reach edited code.
 """
 
 import struct
+from bisect import bisect_left
+from operator import attrgetter
 
 from repro.binfmt import layout as binlayout
 from repro.binfmt.image import Image, SEC_EXEC, SEC_WRITE, Section, Symbol
@@ -30,6 +46,9 @@ from repro.core.cfg import (
     BK_NORMAL,
     EK_COMPUTED,
     EK_ESCAPE,
+    EK_FALL,
+    EK_TAKEN,
+    EK_UNCOND,
 )
 from repro.core.regalloc import allocate_snippet
 from repro.isa import bits
@@ -46,80 +65,119 @@ _C_TABLE_PATCHES = _metrics.counter("layout.table_patches")
 _C_TRAMPOLINES = _metrics.counter("layout.trampolines")
 _C_LONG_BRANCHES = _metrics.counter("layout.long_branches")
 _C_BYTES = _metrics.counter("layout.edited_bytes")
-# Emission work: items emitted (labels included), and original words
-# emitted inside runs rather than as items of their own.
+# Emission work: units emitted -- labels, runs, words, snippets and
+# fixups -- and original words emitted inside runs rather than as
+# units of their own.
 _C_ITEMS = _metrics.counter("layout.items")
 _C_RUN_WORDS = _metrics.counter("layout.run_words")
 
-# Long-branch relaxation never needs more passes than there are jump
-# items (each pass either converges or promotes at least one more jump
-# to its long form, and promotions are monotone), but cap the fixpoint
-# anyway so a placement bug cannot hang finalization.
+# Long-branch relaxation never needs more passes than there are jumps
+# (each pass either converges or grows at least one more jump to its
+# long form, and growth is monotone), but cap the fixpoint anyway so a
+# placement bug cannot hang finalization.
 _MAX_RELAX_PASSES = 64
+
+# Bytes of a synthesized jump, short and long, by architecture: a short
+# jump is ba,a on SPARC and j plus its delay-slot nop on MIPS; the long
+# form is the long-branch stub (sethi/jmpl on SPARC, lui/ori/jr on
+# MIPS), nop-padded to a fixed size so placement stays stable.
+_JUMP_BYTES = {"sparc": (4, 12), "mips": (8, 16)}
+
+_WORD = struct.Struct(">I")
+_PLACEHOLDER = bytes(16)
+
+_BRANCH = Category.BRANCH
+_CALL = Category.CALL
+_CALL_INDIRECT = Category.CALL_INDIRECT
+_JUMP = Category.JUMP
+_JUMP_INDIRECT = Category.JUMP_INDIRECT
+_RETURN = Category.RETURN
+_SYSTEM = Category.SYSTEM
 
 
 class LayoutError(Exception):
     pass
 
 
-class Item:
-    """One unit of the edited routine's emission stream.
-
-    A ``run`` item is a maximal stretch of untouched original words:
-    *data* holds their bytes as copied from ``.text`` and *orig_addr*
-    the address of the first.  Every other kind is at most one
-    synthesized or rewritten word (or a snippet, or a jump stub).
-    """
-
-    __slots__ = ("kind", "word", "label", "target", "orig_addr", "snippet",
-                 "role", "orig_target", "long", "data")
-
-    def __init__(self, kind, word=None, label=None, target=None,
-                 orig_addr=None, snippet=None, role=None, orig_target=None,
-                 data=None):
-        self.kind = kind
-        self.word = word
-        self.label = label  # for kind "label"
-        self.target = target  # ("label", name) or ("orig", addr)
-        self.orig_addr = orig_addr
-        self.snippet = snippet
-        self.role = role
-        self.orig_target = orig_target
-        self.data = data  # for kind "run"
-        # Set by the finalizer's relaxation pass when a jump/jumpxfer
-        # target is out of direct-jump span: emit the multi-word
-        # long-branch stub instead (sethi/jmpl on SPARC, lui/ori/jr on
-        # MIPS), nop-padded to a fixed size so placement stays stable.
-        self.long = False
-
-    def size(self, arch):
-        kind = self.kind
-        if kind == "run":
-            return len(self.data)
-        if kind == "label":
-            return 0
-        if kind == "snippet":
-            return 4 * len(self.snippet.words)
-        if kind in ("jump", "jumpxfer"):
-            if self.long:
-                return 12 if arch == "sparc" else 16
-            return 4 if arch == "sparc" else 8
-        return 4
-
-
 class EditedRoutine:
-    """The laid-out (but not yet address-resolved) edited routine."""
+    """One laid-out edited routine, not yet placed.
+
+    *code* holds the routine's bytes.  The words at the offsets of
+    *fixups* are placeholders until :func:`finalize_image` writes them;
+    each fixup is ``(offset, kind, word, target, extra)``:
+
+    ==========  ====================  ===============  ==================
+    kind        word                  target           extra
+    ==========  ====================  ===============  ==================
+    branch      the branch word       label key        --
+    xfer        the transfer word     original addr    --
+    patch       the literal's word    original addr    patch role
+    jump        --                    label key        bytes (short/long)
+    jumpxfer    --                    original addr    bytes (short/long)
+    snippet     --                    --               AllocatedSnippet
+    ==========  ====================  ===============  ==================
+
+    A ``snippet`` fixup is a snippet with a call-back, which runs with
+    the snippet's final address.  Label keys are routine-local: a
+    block's label is its start address, a stub's its name.
+
+    The placement log: *labels* maps each label key to its offset;
+    *origins* lists ``(original address, offset, bytes)`` for every
+    original word placed, in emission order (a run of untouched words
+    is one entry); *snippets* lists ``(offset, AllocatedSnippet, label
+    key in force)`` for every placed snippet.  *table_patches* are
+    ``(dispatch entry address, ("label", key) or ("orig", address))``.
+    """
 
     def __init__(self, routine):
         self.routine = routine
-        self.items = []
-        self.table_patches = []  # (entry addr in original image, target ref)
+        self.code = bytearray()
+        self.fixups = []
+        self.labels = {}
+        self.origins = []
+        self.snippets = []
+        self.table_patches = []
         self.base = None
-        self.size = 0
+
+    def grow_jumps(self, positions):
+        """Re-emit the routine with the jump fixups at *positions* (of
+        :attr:`fixups`, ascending) in their long form: each jump's
+        bytes grow to the long size and everything after it moves
+        down."""
+        arch = self.routine.executable.arch
+        short, long = _JUMP_BYTES[arch]
+        delta = long - short
+        grown = [self.fixups[position][0] for position in positions]
+
+        def moved(offset):
+            return offset + delta * bisect_left(grown, offset)
+
+        code = bytearray()
+        previous = 0
+        for offset in grown:
+            code += self.code[previous:offset + short]
+            code += bytes(delta)
+            previous = offset + short
+        code += self.code[previous:]
+        self.code = code
+        fixups = self.fixups
+        for position in positions:
+            offset, kind, word, target, _ = fixups[position]
+            fixups[position] = (offset, kind, word, target, long)
+        self.fixups = [(moved(offset), kind, word, target, extra)
+                       for offset, kind, word, target, extra in fixups]
+        self.labels = {key: moved(offset)
+                       for key, offset in self.labels.items()}
+        self.origins = [(orig, moved(offset), size)
+                        for orig, offset, size in self.origins]
+        self.snippets = [(moved(offset), allocated, label)
+                         for offset, allocated, label in self.snippets]
 
 
-def _label_for(addr):
-    return "a%x" % addr
+def label_name(key):
+    """The name of the label *key*: ``a<hex start>`` for a block's label
+    (keyed by its start address), a stub's own name for a stub's."""
+    return key if key.__class__ is str else "a%x" % key
 
 
 def lay_out_routine(cfg):
@@ -129,17 +187,31 @@ def lay_out_routine(cfg):
 class _RoutineLayout:
     def __init__(self, cfg):
         self.cfg = cfg
-        self.routine = cfg.routine
+        routine = cfg.routine
+        self.routine = routine
         self.codec = cfg.codec
         self.arch = cfg.codec.arch
-        self.conventions = cfg.routine.executable.conventions
-        self.text = cfg.routine.executable.image.sections[".text"]
-        self.result = EditedRoutine(cfg.routine)
-        self.items = self.result.items
+        executable = routine.executable
+        self.conventions = executable.conventions
+        text = executable.image.sections[".text"]
+        self.text_data = text.data
+        self.text_vaddr = text.vaddr
+        self.jump_bytes = _JUMP_BYTES[self.arch][0]
+        self.result = EditedRoutine(routine)
+        self.code = self.result.code
+        self.offset = 0  # len(self.code), kept as the bytes are emitted
+        self.fixups = self.result.fixups
+        self.labels = self.result.labels
+        self.origins = self.result.origins
+        self.snippet_log = self.result.snippets
+        self.label = None  # key of the label in force
+        # Stubs are emitted after the last block: (label, chain).
         self.stubs = []
-        self._stub_counter = 0
-        self._run_words = 0
-        self._liveness = None
+        self.units = 0
+        self.run_words = 0
+        self.refolds = 0
+        self.branch_stubs = 0
+        self.liveness = None  # the routine's, from layout's first ask
         self._alloc_cache = {}
         # Literal-jump patch roles: orig site addr -> (role, literal).
         self.patch_roles = {}
@@ -149,85 +221,164 @@ class _RoutineLayout:
                     self.patch_roles[site_addr] = (role, info.literal)
 
     # ------------------------------------------------------------------
-    @property
-    def liveness(self):
-        if self._liveness is None:
-            self._liveness = self.cfg.live_registers()
-        return self._liveness
+    def _live(self):
+        """The routine's liveness (solved or restored on first use)."""
+        self.liveness = self.cfg.live_registers()
+        return self.liveness
 
     def _new_stub_label(self):
-        self._stub_counter += 1
-        return "%s.stub%d" % (_label_for(self.routine.start),
-                              self._stub_counter)
+        return "%s.stub%d" % (label_name(self.routine.start),
+                              len(self.stubs) + 1)
 
-    def _allocate(self, snippet, live):
-        key = (id(snippet), frozenset(live))
-        cached = self._alloc_cache.get(key)
-        if cached is None:
-            cached = allocate_snippet(snippet, live, self.conventions)
-            self._alloc_cache[key] = cached
-        return cached
+    # -- emission ------------------------------------------------------
+    def _label(self, key):
+        self.labels[key] = self.offset
+        self.label = key
+        self.units += 1
 
-    # -- emission helpers ------------------------------------------------
-    def emit(self, item, into=None):
-        (self.items if into is None else into).append(item)
+    def _word(self, word, orig=None):
+        if orig is not None:
+            self.origins.append((orig, self.offset, 4))
+        self.code += _WORD.pack(word & bits.WORD_MASK)
+        self.offset += 4
+        self.units += 1
 
-    def emit_word(self, word, orig_addr=None, into=None):
-        self.emit(Item("word", word=word, orig_addr=orig_addr), into)
+    def _fixup(self, kind, word, target, orig=None, extra=None, size=4):
+        offset = self.offset
+        if orig is not None:
+            self.origins.append((orig, offset, 4))
+        self.fixups.append((offset, kind, word, target, extra))
+        self.code += _PLACEHOLDER[:size]
+        self.offset = offset + size
+        self.units += 1
 
-    def emit_label(self, name, orig_addr=None, into=None):
-        self.emit(Item("label", label=name, orig_addr=orig_addr), into)
-
-    def emit_snips(self, snippets, live, into=None):
+    def _snips(self, snippets, live):
+        code = self.code
+        cache = self._alloc_cache
         for snippet in snippets:
-            self.emit(Item("snippet", snippet=self._allocate(snippet, live)),
-                      into)
+            key = (snippet, live)
+            allocated = cache.get(key)
+            if allocated is None:
+                allocated = cache[key] = allocate_snippet(
+                    snippet, live, self.conventions)
+            words = allocated.words
+            offset = self.offset
+            self.snippet_log.append((offset, allocated, self.label))
+            if snippet.callback is not None:
+                self.fixups.append((offset, "snippet", None, None,
+                                    allocated))
+            size = 4 * len(words)
+            code += struct.pack(">%dI" % (size >> 2),
+                                *map(bits.WORD_MASK.__and__, words))
+            self.offset = offset + size
+        self.units += len(snippets)
 
-    def emit_goto(self, target, next_start=None, into=None):
-        """Unconditional transfer to *target* unless it falls through."""
+    def _goto(self, target, next_start):
+        """Unconditional transfer to *target* unless it falls through
+        to the block starting at *next_start*."""
         if target is None:
             return
         kind, value = target
-        if kind == "label" and next_start is not None \
-                and value == _label_for(next_start):
-            return
         if kind == "label":
-            self.emit(Item("jump", target=target), into)
+            if value != next_start:
+                self._fixup("jump", None, value, extra=self.jump_bytes,
+                            size=self.jump_bytes)
         else:
-            self.emit(Item("jumpxfer", orig_target=value), into)
+            self._fixup("jumpxfer", None, value, extra=self.jump_bytes,
+                        size=self.jump_bytes)
+
+    def _run(self, instructions, lo, hi):
+        """The untouched words *lo*..*hi*-1 of a block, copied as one
+        run (normal blocks are address-contiguous)."""
+        if lo >= hi:
+            return
+        orig = instructions[lo][0]
+        start = orig - self.text_vaddr
+        size = 4 * (hi - lo)
+        self.origins.append((orig, self.offset, size))
+        self.code += self.text_data[start:start + size]
+        self.offset += size
+        self.run_words += hi - lo
+        self.units += 1
+
+    def _instruction(self, addr, instruction):
+        patch = self.patch_roles.get(addr) if self.patch_roles else None
+        if patch is None:
+            self.origins.append((addr, self.offset, 4))
+            self.code += _WORD.pack(instruction.inst.word)
+            self.offset += 4
+            self.units += 1
+        else:
+            role, literal = patch
+            self._fixup("patch", instruction.inst.word, literal, orig=addr,
+                        extra=role)
 
     # ------------------------------------------------------------------
     def run(self):
         cfg = self.cfg
+        result = self.result
         with _span("layout.routine", routine=self.routine.name) as sp:
-            normal = sorted(cfg.normal_blocks(), key=lambda b: b.start)
+            normal = sorted(cfg.normal_blocks(), key=attrgetter("start"))
+            last = len(normal) - 1
             for index, block in enumerate(normal):
-                next_start = normal[index + 1].start \
-                    if index + 1 < len(normal) else None
-                self._emit_block(block, next_start)
-            self.items.extend(self.stubs)
-            self.result.size = sum(item.size(self.arch)
-                                   for item in self.items)
-            sp.set(bytes=self.result.size, stubs=self._stub_counter)
+                self._emit_block(block, normal[index + 1].start
+                                 if index < last else None)
+            for label, chain_ in self.stubs:
+                self._label(label)
+                self._emit_chain(chain_)
+                self._goto(chain_[3], None)
+            sp.set(bytes=self.offset, stubs=len(self.stubs))
         _C_ROUTINES.inc()
-        _C_STUBS.inc(self._stub_counter)
-        _C_BYTES.inc(self.result.size)
-        _C_TABLE_PATCHES.inc(len(self.result.table_patches))
-        _C_ITEMS.inc(len(self.items))
-        _C_RUN_WORDS.inc(self._run_words)
-        return self.result
+        _C_BYTES.inc(self.offset)
+        _C_ITEMS.inc(self.units)
+        if self.run_words:
+            _C_RUN_WORDS.inc(self.run_words)
+        if self.stubs:
+            _C_STUBS.inc(len(self.stubs))
+        if result.table_patches:
+            _C_TABLE_PATCHES.inc(len(result.table_patches))
+        if self.refolds:
+            _C_REFOLDS.inc(self.refolds)
+        if self.branch_stubs:
+            _C_BRANCH_FIXUPS.inc(self.branch_stubs)
+        return result
 
     def _emit_block(self, block, next_start):
         # The label carries the original address so that the address map
         # points at the start of the block's emission, *including* any
         # snippets placed before its first instruction.
-        self.emit_label(_label_for(block.start), orig_addr=block.start)
+        self.labels[block.start] = self.offset
+        self.label = block.start
+        self.units += 1
         instructions = block.instructions
         count = len(instructions)
-        last = instructions[-1][1]
-        terminator = count - 1 if (last.is_control and last.category
-                                   is not Category.SYSTEM) else None
-        # Untouched words between the indices that need an item of their
+        category = instructions[-1][1].inst.category
+        terminator = count - 1 if (category.is_control and category
+                                   is not _SYSTEM) else None
+        start = 0  # first index of the pending run
+        if block.before or block.after or block.deleted or self.patch_roles:
+            start = self._emit_edited_words(block, terminator)
+        if terminator is not None:
+            self._run(instructions, start, terminator)
+            addr, instruction = instructions[terminator]
+            self._emit_terminator(block, addr, instruction, next_start)
+            return
+        self._run(instructions, start, count)
+        # Block without a terminator: glue to its successor.
+        edge = block.succ[0] if block.succ else None
+        if edge is not None:
+            liveness = self.liveness or self._live()
+            if edge.snippets:
+                self._snips(edge.snippets, liveness.live_on_edge(edge))
+            self._goto(self._edge_target(edge), next_start)
+
+    def _emit_edited_words(self, block, terminator):
+        """Emit an edited block's words before its terminator (or end),
+        the untouched stretches between edits as runs; returns the index
+        of the first word of the pending run."""
+        instructions = block.instructions
+        count = len(instructions)
+        # Untouched words between the indices that need a unit of their
         # own become runs, so the work here follows the edits, not the
         # block's length.
         before, after, deleted = block.before, block.after, block.deleted
@@ -241,269 +392,226 @@ class _RoutineLayout:
                          for addr in self.patch_roles)
         if terminator is not None:
             stops.add(terminator)
-        start = 0  # first index of the pending run
+        start = 0
         for index in sorted(stops):
             if not 0 <= index < count:
                 continue  # a patch site of another block, or no word
             addr, instruction = instructions[index]
             snips = before.get(index)
             if snips:
-                self._emit_run(instructions, start, index)
+                self._run(instructions, start, index)
                 start = index
-                self.emit_snips(snips, self.liveness.live_before(block,
-                                                                 index))
+                liveness = self.liveness or self._live()
+                self._snips(snips, liveness.live_before(block, index))
             if index == terminator:
-                self._emit_run(instructions, start, index)
-                self._emit_terminator(block, addr, instruction, next_start)
-                return
+                return start
             if index in deleted or addr in self.patch_roles:
-                self._emit_run(instructions, start, index)
+                self._run(instructions, start, index)
                 start = index + 1
                 if index not in deleted:
-                    self._emit_instruction(addr, instruction)
+                    self._instruction(addr, instruction)
             snips = after.get(index)
             if snips:
-                self._emit_run(instructions, start, index + 1)
+                self._run(instructions, start, index + 1)
                 start = index + 1
-                self.emit_snips(snips, self.liveness.live_after(block,
-                                                                index))
-        self._emit_run(instructions, start, count)
-        # Block without a terminator: glue to its successor.
-        edge = block.succ[0] if block.succ else None
-        if edge is not None:
-            self.emit_snips(edge.snippets,
-                            self.liveness.live_on_edge(edge))
-            self.emit_goto(self._edge_target(edge), next_start)
-
-    def _emit_run(self, instructions, lo, hi):
-        """One run item for the untouched words *lo*..*hi*-1 of a block
-        (normal blocks are address-contiguous)."""
-        if lo >= hi:
-            return
-        self._run_words += hi - lo
-        offset = instructions[lo][0] - self.text.vaddr
-        self.emit(Item("run", orig_addr=instructions[lo][0],
-                       data=bytes(self.text.data[offset:offset
-                                                 + 4 * (hi - lo)])))
-
-    def _emit_instruction(self, addr, instruction, into=None):
-        patch = self.patch_roles.get(addr)
-        if patch is not None:
-            role, literal = patch
-            self.emit(Item("patch", word=instruction.word, orig_addr=addr,
-                           role=role, orig_target=literal), into)
-        else:
-            self.emit_word(instruction.word, orig_addr=addr, into=into)
+                liveness = self.liveness or self._live()
+                self._snips(snips, liveness.live_after(block, index))
+        return start
 
     # ------------------------------------------------------------------
     # Chains: the code along one outgoing edge of a control transfer.
     # ------------------------------------------------------------------
     def _chain(self, edge):
-        """Returns (parts, target_ref, clean).
-
-        parts: [("snips", edge, [...])] and [("delay", block)] entries.
-        clean: the chain is exactly an unedited delay slot (or nothing).
-        """
-        parts = []
-        clean = True
-        if edge.snippets:
-            parts.append(("snips", edge, edge.snippets))
-            clean = False
+        """``(edge, delay block or None, edge out of the delay block or
+        None, target ref, clean)``: *clean* when the chain is exactly an
+        unedited delay slot (or nothing)."""
         dst = edge.dst
         if dst.kind == BK_DELAY:
-            parts.append(("delay", dst))
-            if dst.is_edited:
-                clean = False
             out = dst.succ[0]
-            if out.snippets:
-                parts.append(("snips", out, out.snippets))
-                clean = False
-            return parts, self._edge_target(out), clean
-        return parts, self._edge_target(edge), clean and not parts
+            clean = not (edge.snippets or out.snippets or dst.before
+                         or dst.after or dst.deleted)
+            return edge, dst, out, self._edge_target(out), clean
+        return edge, None, None, self._edge_target(edge), not edge.snippets
 
     def _edge_target(self, edge):
-        if edge.kind == EK_ESCAPE or edge.dst.kind == BK_EXIT:
+        dst = edge.dst
+        if edge.kind == EK_ESCAPE or dst.kind == BK_EXIT:
             if edge.escape_target is None:
                 return None
             return ("orig", edge.escape_target)
-        if edge.dst.kind == BK_NORMAL:
-            return ("label", _label_for(edge.dst.start))
+        if dst.kind == BK_NORMAL:
+            return ("label", dst.start)
         raise LayoutError("edge %r has no layout target" % edge)
 
-    def _emit_parts(self, parts, into=None):
-        for part in parts:
-            if part[0] == "snips":
-                _, edge, snippets = part
-                self.emit_snips(snippets, self.liveness.live_on_edge(edge),
-                                into)
-            else:
-                _, delay_block = part
-                self._emit_delay_block(delay_block, into)
+    def _emit_chain(self, chain_, with_delay=True):
+        """The chain's snippets and (*with_delay*) its delay block."""
+        edge, delay, out = chain_[0], chain_[1], chain_[2]
+        if edge.snippets:
+            liveness = self.liveness or self._live()
+            self._snips(edge.snippets, liveness.live_on_edge(edge))
+        if delay is not None:
+            if with_delay:
+                self._emit_delay_block(delay)
+            if out.snippets:
+                liveness = self.liveness or self._live()
+                self._snips(out.snippets, liveness.live_on_edge(out))
 
-    def _emit_delay_block(self, block, into=None):
+    def _emit_delay_block(self, block):
+        before, after, deleted = block.before, block.after, block.deleted
+        if not (before or after or deleted):
+            for addr, instruction in block.instructions:
+                self._instruction(addr, instruction)
+            return
         for index, (addr, instruction) in enumerate(block.instructions):
-            before = block.before.get(index)
-            if before:
-                self.emit_snips(before,
-                                self.liveness.live_before(block, index), into)
-            if index not in block.deleted:
-                self._emit_instruction(addr, instruction, into)
-            after = block.after.get(index)
-            if after:
-                self.emit_snips(after, self.liveness.live_after(block, index),
-                                into)
-
-    def _delay_word(self, delay_block):
-        return delay_block.instructions[0][1].word
+            snips = before.get(index)
+            if snips:
+                liveness = self.liveness or self._live()
+                self._snips(snips, liveness.live_before(block, index))
+            if index not in deleted:
+                self._instruction(addr, instruction)
+            snips = after.get(index)
+            if snips:
+                liveness = self.liveness or self._live()
+                self._snips(snips, liveness.live_after(block, index))
 
     # ------------------------------------------------------------------
     # Terminators
     # ------------------------------------------------------------------
     def _emit_terminator(self, block, addr, instruction, next_start):
-        category = instruction.category
-        if category is Category.BRANCH:
-            self._emit_branch(block, addr, instruction, next_start)
-        elif category in (Category.CALL, Category.CALL_INDIRECT):
+        category = instruction.inst.category
+        if category is _BRANCH:
+            self._emit_branch(block, addr, instruction.inst, next_start)
+        elif category is _CALL or category is _CALL_INDIRECT:
             self._emit_call(block, addr, instruction, next_start)
-        elif category is Category.RETURN:
-            self._emit_simple_exit(block, addr, instruction)
-        elif category is Category.JUMP:
+        elif category is _RETURN:
+            self._instruction(addr, instruction)
+            self._emit_delay_block(block.succ[0].dst)
+        elif category is _JUMP:
             self._emit_direct_jump(block, addr, instruction, next_start)
-        elif category is Category.JUMP_INDIRECT:
+        elif category is _JUMP_INDIRECT:
             self._emit_indirect_jump(block, addr, instruction)
         else:
             raise LayoutError("unexpected terminator %s" % instruction.name)
 
-    def _emit_branch_word(self, word, target, orig_addr, into=None):
-        kind, value = target if target else (None, None)
-        if kind == "label":
-            self.emit(Item("branch", word=word, target=target,
-                           orig_addr=orig_addr), into)
+    def _branch_word(self, word, target, orig_addr):
+        if target is not None and target[0] == "label":
+            self._fixup("branch", word, target[1], orig=orig_addr)
         else:
-            self.emit(Item("xfer", word=word, orig_target=value,
-                           orig_addr=orig_addr), into)
+            self._fixup("xfer", word, target and target[1], orig=orig_addr)
 
-    def _emit_branch(self, block, addr, instruction, next_start):
-        taken = block.taken_edge()
-        fall = block.fall_edge()
-        word = instruction.word
+    def _emit_branch(self, block, addr, inst, next_start):
+        taken = fall = None
+        for edge in block.succ:
+            kind = edge.kind
+            if kind == EK_TAKEN or kind == EK_UNCOND:
+                if taken is None:
+                    taken = edge
+            elif kind == EK_FALL and fall is None:
+                fall = edge
+        word = inst.word
 
         if taken is None:
             # Branch-never: pure fall-through; emit only the chain.
             if fall is not None:
-                parts, target, _ = self._chain(fall)
-                self._emit_parts(parts)
-                self.emit_goto(target, next_start)
+                chain_ = self._chain(fall)
+                self._emit_chain(chain_)
+                self._goto(chain_[3], next_start)
             return
 
-        t_parts, t_target, t_clean = self._chain(taken)
-        has_delay_block = taken.dst.kind == BK_DELAY
+        t_chain = self._chain(taken)
+        t_target, t_clean = t_chain[3], t_chain[4]
+        t_delay = t_chain[1]
 
         if fall is None:
             # Unconditional (ba or ba,a).
-            if t_clean and has_delay_block:
-                self._emit_branch_word(word, t_target, addr)
-                self.emit_word(self._delay_word(taken.dst), orig_addr=addr + 4)
-            elif t_clean:
-                self._emit_branch_word(word, t_target, addr)
+            if t_clean:
+                self._branch_word(word, t_target, addr)
+                if t_delay is not None:
+                    self._word(t_delay.instructions[0][1].inst.word,
+                               addr + 4)
             else:
-                self._emit_parts(t_parts)
-                self.emit_goto(t_target, next_start)
+                self._emit_chain(t_chain)
+                self._goto(t_target, next_start)
             return
 
-        f_parts, f_target, f_clean = self._chain(fall)
-        annulled = instruction.annul_untaken
+        f_chain = self._chain(fall)
+        f_delay = f_chain[1]
 
-        if t_clean and has_delay_block:
-            if annulled and not any(p[0] == "delay" for p in f_parts):
+        if t_clean and t_delay is not None:
+            if inst.annul_untaken and f_delay is None:
                 # Refold: b,a target with original delay in the slot.
-                _C_REFOLDS.inc()
-                self._emit_branch_word(word, t_target, addr)
-                self.emit_word(self._delay_word(taken.dst), orig_addr=addr + 4)
-                self._emit_parts(f_parts)
-                self.emit_goto(f_target, next_start)
+                self.refolds += 1
+                self._branch_word(word, t_target, addr)
+                self._word(t_delay.instructions[0][1].inst.word, addr + 4)
+                self._emit_chain(f_chain)
+                self._goto(f_chain[3], next_start)
                 return
-            if not annulled and self._refoldable_fall(f_parts):
+            if not inst.annul_untaken and f_delay is not None \
+                    and not fall.snippets and not (
+                        f_delay.before or f_delay.after or f_delay.deleted):
                 # Refold: delay executes on both paths from the slot.
-                _C_REFOLDS.inc()
-                self._emit_branch_word(word, t_target, addr)
-                self.emit_word(self._delay_word(taken.dst), orig_addr=addr + 4)
-                self._emit_parts([p for p in f_parts if p[0] != "delay"])
-                self.emit_goto(f_target, next_start)
+                self.refolds += 1
+                self._branch_word(word, t_target, addr)
+                self._word(t_delay.instructions[0][1].inst.word, addr + 4)
+                self._emit_chain(f_chain, with_delay=False)
+                self._goto(f_chain[3], next_start)
                 return
 
         # General case: route the taken path through a stub.
-        _C_BRANCH_FIXUPS.inc()
+        self.branch_stubs += 1
         stub_label = self._new_stub_label()
-        plain = self.codec.clear_annul(word)
-        self._emit_branch_word(plain, ("label", stub_label), addr)
-        self.emit_word(self.codec.nop_word)
-        self._emit_parts(f_parts)
-        self.emit_goto(f_target, next_start)
-        self.emit_label(stub_label, into=self.stubs)
-        self._emit_parts(t_parts, into=self.stubs)
-        self.emit_goto(t_target, into=self.stubs)
-
-    def _refoldable_fall(self, f_parts):
-        """Fall chain must be [unedited delay] followed only by snips."""
-        if not f_parts or f_parts[0][0] != "delay":
-            return False
-        if f_parts[0][1].is_edited:
-            return False
-        return all(p[0] == "snips" for p in f_parts[1:])
+        self.stubs.append((stub_label, t_chain))
+        self._fixup("branch", self.codec.clear_annul(word), stub_label,
+                    orig=addr)
+        self._word(self.codec.nop_word)
+        self._emit_chain(f_chain)
+        self._goto(f_chain[3], next_start)
 
     def _emit_call(self, block, addr, instruction, next_start):
         target = instruction.target(addr)
         if target is not None:
-            self.emit(Item("xfer", word=instruction.word, orig_target=target,
-                           orig_addr=addr))
+            self._fixup("xfer", instruction.inst.word, target, orig=addr)
         else:
-            self._emit_instruction(addr, instruction)
+            self._instruction(addr, instruction)
         delay = block.succ[0].dst
         self._emit_delay_block(delay)
         surrogate = delay.succ[0].dst
-        out = surrogate.succ[0] if surrogate.succ else None
-        if out is not None:
-            self.emit_goto(self._edge_target(out), next_start)
-
-    def _emit_simple_exit(self, block, addr, instruction):
-        self._emit_instruction(addr, instruction)
-        delay = block.succ[0].dst
-        self._emit_delay_block(delay)
+        if surrogate.succ:
+            self._goto(self._edge_target(surrogate.succ[0]), next_start)
 
     def _emit_direct_jump(self, block, addr, instruction, next_start):
         # jmpl to a literal (SPARC) or j (MIPS): treat like ba with a delay.
         edge = block.succ[0]
         if edge.dst.kind == BK_DELAY:
-            parts, target, clean = self._chain(edge)
-            if clean:
-                kind, value = target if target else (None, None)
-                if kind == "label":
-                    # Re-synthesize as a plain jump to the label.
-                    self.emit(Item("jump", target=target))
-                    self.emit_word(self._delay_word(edge.dst))
-                else:
-                    self.emit(Item("xfer", word=instruction.word,
-                                   orig_target=value, orig_addr=addr))
-                    self.emit_word(self._delay_word(edge.dst),
-                                   orig_addr=addr + 4)
+            chain_ = self._chain(edge)
+            target = chain_[3]
+            if not chain_[4]:
+                self._emit_chain(chain_)
+                self._goto(target, next_start)
+                return
+            delay_word = edge.dst.instructions[0][1].inst.word
+            if target is not None and target[0] == "label":
+                # Re-synthesize as a plain jump to the label.
+                self._fixup("jump", None, target[1], extra=self.jump_bytes,
+                            size=self.jump_bytes)
+                self._word(delay_word)
             else:
-                self._emit_parts(parts)
-                self.emit_goto(target, next_start)
+                self._fixup("xfer", instruction.inst.word,
+                            target and target[1], orig=addr)
+                self._word(delay_word, addr + 4)
         else:
-            target = self._edge_target(edge)
-            self.emit_snips(edge.snippets, self.liveness.live_on_edge(edge))
-            self.emit_goto(target, next_start)
+            liveness = self.liveness or self._live()
+            if edge.snippets:
+                self._snips(edge.snippets, liveness.live_on_edge(edge))
+            self._goto(self._edge_target(edge), next_start)
 
     # -- indirect jumps -----------------------------------------------------
-    def _info_for(self, block):
-        for info in self.cfg.indirect_jumps:
-            if info.block is block:
-                return info
-        return None
-
     def _emit_indirect_jump(self, block, addr, instruction):
-        info = self._info_for(block)
+        info = None
+        for candidate in self.cfg.indirect_jumps:
+            if candidate.block is block:
+                info = candidate
+                break
         delay_edge = block.succ[0]
         delay = delay_edge.dst if delay_edge.dst.kind == BK_DELAY else None
 
@@ -511,7 +619,7 @@ class _RoutineLayout:
             self._emit_runtime_translation(block, addr, instruction, delay)
             return
 
-        self._emit_instruction(addr, instruction)
+        self._instruction(addr, instruction)
         if delay is not None:
             self._emit_delay_block(delay)
 
@@ -526,18 +634,15 @@ class _RoutineLayout:
             if edge.kind == EK_COMPUTED and edge.snippets:
                 label = self._new_stub_label()
                 stub_for[edge.dst.start] = label
-                self.emit_label(label, into=self.stubs)
-                self.emit_snips(edge.snippets,
-                                self.liveness.live_on_edge(edge),
-                                into=self.stubs)
-                self.emit_goto(self._edge_target(edge), into=self.stubs)
+                self.stubs.append((label, (edge, None, None,
+                                           self._edge_target(edge), False)))
         for position, target in enumerate(info.targets):
             entry_addr = info.table_addr + 4 * position
             if target in stub_for:
                 ref = ("label", stub_for[target])
             elif self.routine.contains(target) and \
                     target in self.cfg.block_at:
-                ref = ("label", _label_for(target))
+                ref = ("label", target)
             else:
                 ref = ("orig", target)
             self.result.table_patches.append((entry_addr, ref))
@@ -548,17 +653,18 @@ class _RoutineLayout:
         executable = self.routine.executable
         table_base = executable.ensure_translation_table()
         text_base = executable.image.sections[".text"].vaddr
-        live = self.liveness.live_before(block, len(block.instructions) - 1)
+        liveness = self.liveness or self._live()
+        live = liveness.live_before(block, len(block.instructions) - 1)
         words = self._translation_words(instruction, table_base, text_base,
                                         live)
         for word in words:
-            self.emit_word(word)
+            self._word(word)
         # The original jump's delay instruction still executes after the
         # translated jump (it sits in the new jump's delay slot).
         if delay is not None:
             self._emit_delay_block(delay)
         else:
-            self.emit_word(self.codec.nop_word)
+            self._word(self.codec.nop_word)
 
     def _translation_words(self, instruction, table_base, text_base, live):
         conventions = self.conventions
@@ -614,35 +720,29 @@ class _ImageFinalizer:
         self.arch = executable.arch
         self.codec = executable.codec
         self.conventions = executable.conventions
-        self.edited = [
-            routine for routine in sorted(
-                executable._edited_routines.values(),
-                key=lambda r: r.start,
-            )
-        ]
-        self.labels = {}  # label name -> address
+        self.routines = sorted(executable._edited_routines.values(),
+                               key=attrgetter("start"))
         self.addr_map = {}  # original addr -> edited addr
-        self._label_map = {}  # block-start mappings (take priority)
-        self._jump_sites = []  # (item, placed addr) for short jumps
-        self._placed = []  # (orig addr, placed addr, bytes) per item
 
     def run(self):
         executable = self.executable
         with _span("layout.place"):
-            # Phase A: assign addresses, relaxing out-of-span jumps to
-            # long-branch stubs until placement reaches a fixpoint.
+            # Assign addresses, relaxing out-of-span jumps to long-branch
+            # stubs until placement reaches a fixpoint.
             self._place_all(executable)
         with _span("layout.materialize"):
-            # Phase B: materialize the new text's bytes.
+            # The new text: tool-added routines, padding, then every
+            # edited routine's bytes with its fixups applied.
             words = []
             for name, base, added_words in executable._added_routines:
                 words.extend(added_words)
-            pad = (self.edited[0].edited.base
-                   - executable._new_text_base) // 4 if self.edited else 0
+            pad = (self.routines[0].edited.base
+                   - executable._new_text_base) // 4 if self.routines else 0
             words.extend([self.codec.nop_word] * (pad - len(words)))
             text = bytearray(_pack_words(words))
-            for routine in self.edited:
-                self._materialize(routine.edited, text)
+            for routine in self.routines:
+                self._apply_fixups(routine.edited)
+                text += routine.edited.code
         with _span("layout.build_image", words=len(text) // 4):
             image = self._build_image(text)
         return FinalizedImage(image, self.addr_map)
@@ -651,50 +751,24 @@ class _ImageFinalizer:
     def _place_all(self, executable):
         """Fixpoint placement with long-branch relaxation.
 
-        Each pass assigns addresses from scratch, then re-checks every
-        still-short jump at its placed address.  Any whose target falls
-        outside the direct-jump span is promoted to its long form
-        (which grows the item and shifts later addresses), so placement
-        repeats until no promotion happens.  Promotions are monotone —
-        an item never shrinks back — so the loop terminates; the final
-        pass has verified every remaining short jump in place.
+        Each pass places the routines one after another, then checks
+        every still-short jump at its placed address.  A routine with a
+        jump whose target lies outside the direct-jump span is re-emitted
+        with that jump in its long form (which moves everything after
+        it), so placement repeats until nothing grows.  Growth is
+        monotone -- a jump never shrinks back -- so the loop terminates;
+        the final pass has checked every remaining short jump in place.
         """
         for _ in range(_MAX_RELAX_PASSES):
-            self.labels = {}
-            self._label_map = {}
-            self._jump_sites = []
-            self._placed = []
             cursor = binlayout.align_up(executable._added_cursor, 4)
-            for routine in self.edited:
+            for routine in self.routines:
                 routine.edited.base = cursor
-                cursor = self._place(routine.edited, cursor)
+                cursor += len(routine.edited.code)
             self._build_addr_map()
             if not self._relax_jumps():
                 return
         raise LayoutError("long-branch relaxation did not converge after "
                           "%d passes" % _MAX_RELAX_PASSES)
-
-    def _place(self, edited, cursor):
-        arch = self.arch
-        placed = self._placed
-        for item in edited.items:
-            kind = item.kind
-            if kind == "label":
-                self.labels[item.label] = cursor
-                if item.orig_addr is not None:
-                    # Block-start mapping: points before any snippets and
-                    # overrides duplicated delay-word item mappings.
-                    self._label_map.setdefault(item.orig_addr, cursor)
-                continue
-            size = item.size(arch)
-            if item.orig_addr is not None:
-                # A run maps each of its words; any other item its one.
-                placed.append((item.orig_addr, cursor,
-                               size if kind == "run" else 4))
-            if not item.long and kind in ("jump", "jumpxfer"):
-                self._jump_sites.append((item, cursor))
-            cursor += size
-        return cursor
 
     def _build_addr_map(self):
         """Original -> edited address of every placed original word.
@@ -704,118 +778,110 @@ class _ImageFinalizer:
         block labels override both.
         """
         addr_map = {}
-        for orig, placed, size in reversed(self._placed):
-            if size == 4:
-                addr_map[orig] = placed
-            else:
-                addr_map.update(zip(range(orig, orig + size, 4),
-                                    range(placed, placed + size, 4)))
-        addr_map.update(self._label_map)
+        labels = {}
+        for routine in reversed(self.routines):
+            edited = routine.edited
+            base = edited.base
+            for orig, offset, size in reversed(edited.origins):
+                if size == 4:
+                    addr_map[orig] = base + offset
+                    continue
+                delta = base + offset - orig
+                for word in range(orig, orig + size, 4):
+                    addr_map[word] = word + delta
+            for key, offset in edited.labels.items():
+                if key.__class__ is int:
+                    labels[key] = base + offset
+        # First label wins: later routines' labels were filled first.
+        addr_map.update(labels)
         self.addr_map = addr_map
 
     def _relax_jumps(self):
-        """Promote out-of-span short jumps to long form; returns count."""
+        """Grow out-of-span short jumps to their long form; returns the
+        number grown."""
+        addr_map = self.addr_map
+        reaches = self.conventions.direct_jump_reaches
+        short = _JUMP_BYTES[self.arch][0]
         grown = 0
-        for item, addr in self._jump_sites:
-            if item.kind == "jump":
-                target = self._resolve_target(item.target)
-            else:
-                target = self._resolve_orig(item.orig_target)
-            if not self._short_jump_fits(addr, target):
-                item.long = True
-                grown += 1
+        for routine in self.routines:
+            edited = routine.edited
+            base = edited.base
+            labels = edited.labels
+            far = []
+            for position, (offset, kind, _, target, size) in \
+                    enumerate(edited.fixups):
+                if kind == "jump":
+                    if target not in labels:
+                        raise _undefined_label(target)
+                    target = base + labels[target]
+                elif kind == "jumpxfer":
+                    if target in addr_map:
+                        target = addr_map[target]
+                else:
+                    continue
+                if size == short and not reaches(base + offset, target):
+                    far.append(position)
+            if far:
+                edited.grow_jumps(far)
+                grown += len(far)
         if grown:
             _C_LONG_BRANCHES.inc(grown)
         return grown
 
-    def _short_jump_fits(self, addr, target):
-        try:
-            if self.arch == "sparc":
-                self.conventions.direct_jump_annulled(addr, target)
-            else:
-                self.conventions.direct_jump(addr, target)
-        except SpanError:
-            return False
-        return True
-
-    def _resolve_target(self, target):
-        kind, value = target
-        if kind == "label":
-            addr = self.labels.get(value)
-            if addr is None:
-                raise LayoutError("undefined layout label %r" % value)
-            return addr
-        return self._resolve_orig(value)
-
-    def _resolve_orig(self, orig_addr):
-        """Edited address of an original address, or itself if unedited."""
-        return self.addr_map.get(orig_addr, orig_addr)
-
-    def _materialize(self, edited, text):
-        """Append *edited*'s bytes to *text*: each run's as they are,
-        the words between runs packed together."""
-        arch = self.arch
-        words = []
-        cursor = edited.base
-        for item in edited.items:
-            kind = item.kind
-            if kind == "run":
-                if words:
-                    text += _pack_words(words)
-                    words = []
-                text += item.data
-                cursor += len(item.data)
-            elif kind == "word":
-                words.append(item.word)
-                cursor += 4
-            elif kind != "label":
-                words.extend(self._item_words(item, cursor))
-                cursor += item.size(arch)
-        if words:
-            text += _pack_words(words)
-
-    def _item_words(self, item, addr):
+    def _apply_fixups(self, edited):
+        """Write the final word(s) of every fixup of the placed *edited*."""
+        code = edited.code
+        base = edited.base
+        labels = edited.labels
+        addr_map = self.addr_map
         codec = self.codec
         conventions = self.conventions
-        if item.kind == "snippet":
-            return item.snippet.run_callback(addr)
-        if item.kind == "branch":
-            target = self._resolve_target(item.target)
-            return [codec.with_control_target(item.word, addr, target)]
-        if item.kind == "xfer":
-            target = self._resolve_orig(item.orig_target)
-            return [codec.with_control_target(item.word, addr, target)]
-        if item.kind == "patch":
-            target = self._resolve_orig(item.orig_target)
-            return [_apply_patch_role(codec, item.word, item.role, target)]
-        if item.kind == "jump":
-            target = self._resolve_target(item.target)
-            return self._jump_words(addr, target, long=item.long)
-        if item.kind == "jumpxfer":
-            target = self._resolve_orig(item.orig_target)
-            return self._jump_words(addr, target, long=item.long)
-        raise LayoutError("unknown item kind %r" % item.kind)
-
-    def _jump_words(self, addr, target, long=False):
-        conventions = self.conventions
-        if long:
-            return self._long_jump_words(addr, target)
-        # Relaxation verified every remaining short jump in place, so a
-        # SpanError here means placement and materialization disagree.
-        try:
-            if self.arch == "sparc":
-                return [conventions.direct_jump_annulled(addr, target)]
-            return [conventions.direct_jump(addr, target),
-                    self.codec.nop_word]
-        except SpanError:
-            raise LayoutError("jump span overflow after relaxation: "
-                              "0x%x -> 0x%x" % (addr, target))
+        sparc = self.arch == "sparc"
+        short = _JUMP_BYTES[self.arch][0]
+        pack_into = _WORD.pack_into
+        for offset, kind, word, target, extra in edited.fixups:
+            addr = base + offset
+            if kind == "branch" or kind == "jump":
+                if target not in labels:
+                    raise _undefined_label(target)
+                target = base + labels[target]
+            elif kind != "snippet" and target in addr_map:
+                target = addr_map[target]
+            if kind == "branch" or kind == "xfer":
+                pack_into(code, offset,
+                          codec.with_control_target(word, addr, target))
+            elif kind == "patch":
+                pack_into(code, offset,
+                          _apply_patch_role(codec, word, extra, target))
+            elif kind == "snippet":
+                words = extra.run_callback(addr)
+                code[offset:offset + 4 * len(words)] = _pack_words(words)
+            elif extra != short:
+                code[offset:offset + extra] = _pack_words(
+                    self._long_jump_words(addr, target))
+            else:
+                # Relaxation checked every remaining short jump in
+                # place, so a SpanError here means placement and fixups
+                # disagree.
+                try:
+                    if sparc:
+                        pack_into(code, offset,
+                                  conventions.direct_jump_annulled(addr,
+                                                                   target))
+                    else:
+                        pack_into(code, offset,
+                                  conventions.direct_jump(addr, target))
+                        pack_into(code, offset + 4, codec.nop_word)
+                except SpanError:
+                    raise LayoutError("jump span overflow after "
+                                      "relaxation: 0x%x -> 0x%x"
+                                      % (addr, target))
 
     def _long_jump_words(self, addr, target):
-        """The long-branch stub, nop-padded to the fixed long item size."""
+        """The long-branch stub, nop-padded to the fixed long size."""
         scratch = getattr(self.conventions, "assembler_temp", 1)
         words = list(self.conventions.long_jump(scratch, target))
-        slots = (12 if self.arch == "sparc" else 16) // 4
+        slots = _JUMP_BYTES[self.arch][1] // 4
         if len(words) > slots:
             raise LayoutError("long-branch stub at 0x%x needs %d words "
                               "(max %d)" % (addr, len(words), slots))
@@ -835,8 +901,7 @@ class _ImageFinalizer:
             copy.nobits_size = section.nobits_size
             image.add_section(copy)
         image.symbols = [
-            Symbol(s.name, s.value, kind=s.kind, binding=s.binding,
-                   size=s.size, section=s.section)
+            Symbol(s.name, s.value, s.kind, s.binding, s.size, s.section)
             for s in source.symbols
         ]
 
@@ -866,43 +931,68 @@ class _ImageFinalizer:
         self._fill_translation_table(image)
         self._update_symbols(image)
 
-        old_entry = source.entry
-        image.entry = self._resolve_orig(old_entry)
+        image.entry = self._resolve_orig(source.entry)
         return image
 
+    def _resolve_orig(self, orig_addr):
+        """Edited address of an original address, or itself if unedited."""
+        return self.addr_map.get(orig_addr, orig_addr)
+
     def _patch_tables(self, image):
-        for routine in self.edited:
-            for entry_addr, ref in routine.edited.table_patches:
-                section = image.section_at(entry_addr)
-                if section is None:
+        sections = [(section.vaddr, section.end, section)
+                    for section in image.sections.values()]
+        for routine in self.routines:
+            edited = routine.edited
+            for entry_addr, (kind, value) in edited.table_patches:
+                for lo, hi, section in sections:
+                    if lo <= entry_addr < hi:
+                        break
+                else:
                     raise LayoutError("dispatch table entry at unmapped "
                                       "0x%x" % entry_addr)
-                section.set_word(entry_addr, self._resolve_target(ref))
+                if kind == "label":
+                    if value not in edited.labels:
+                        raise _undefined_label(value)
+                    value = edited.base + edited.labels[value]
+                else:
+                    value = self._resolve_orig(value)
+                section.set_word(entry_addr, value)
 
     def _install_trampolines(self, image):
         """Original entries of edited routines jump to the edited code."""
         text = image.sections.get(".text")
         if text is None:
             return
-        for routine in self.edited:
+        addr_map = self.addr_map
+        conventions = self.conventions
+        data = text.data
+        lo, hi = text.vaddr, text.end
+        installed = 0
+        for routine in self.routines:
             for entry in routine.entries:
-                new_addr = self._resolve_orig(entry)
-                if new_addr == entry or not text.contains(entry):
+                if entry not in addr_map or not lo <= entry < hi:
                     continue
-                _C_TRAMPOLINES.inc()
+                new_addr = addr_map[entry]
+                if new_addr == entry:
+                    continue
+                installed += 1
                 try:
                     if self.arch == "sparc":
-                        word = self.conventions.direct_jump_annulled(
-                            entry, new_addr)
-                        text.set_word(entry, word)
+                        _WORD.pack_into(data, entry - lo,
+                                        conventions.direct_jump_annulled(
+                                            entry, new_addr))
                     else:
-                        text.set_word(entry, self.conventions.direct_jump(
-                            entry, new_addr))
-                        if text.contains(entry + 4):
-                            text.set_word(entry + 4, self.codec.nop_word)
+                        _WORD.pack_into(data, entry - lo,
+                                        conventions.direct_jump(entry,
+                                                                new_addr))
+                        if entry + 4 < hi:
+                            _WORD.pack_into(data, entry + 4 - lo,
+                                            self.codec.nop_word)
                 except SpanError:
                     self._install_long_trampoline(text, routine, entry,
                                                   new_addr)
+        if installed:
+            _C_TRAMPOLINES.inc(installed)
 
     def _install_long_trampoline(self, text, routine, entry, new_addr):
         """Multi-word trampoline when the edited copy is out of direct
@@ -935,17 +1025,23 @@ class _ImageFinalizer:
     def _update_symbols(self, image):
         """Point routine symbols at the edited copies (paper: edited
         programs keep working with standard tools)."""
-        edited_names = {routine.name for routine in self.edited}
+        edited_names = {routine.name for routine in self.routines}
+        addr_map = self.addr_map
         for symbol in image.symbols:
             if symbol.kind == "func" and symbol.name in edited_names:
-                symbol.value = self._resolve_orig(symbol.value)
+                if symbol.value in addr_map:
+                    symbol.value = addr_map[symbol.value]
                 symbol.section = ".text.edited"
+
+
+def _undefined_label(key):
+    return LayoutError("undefined layout label %r" % label_name(key))
 
 
 def _pack_words(words):
     """Big-endian bytes of 32-bit *words* (truncated to 32 bits)."""
     return struct.pack(">%dI" % len(words),
-                       *[word & bits.WORD_MASK for word in words])
+                       *map(bits.WORD_MASK.__and__, words))
 
 
 def _apply_patch_role(codec, word, role, target):

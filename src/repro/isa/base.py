@@ -15,7 +15,12 @@ from repro.isa import bits
 
 
 class Category(enum.Enum):
-    """Functional categories of instructions (paper section 3.4, Figure 6)."""
+    """Functional categories of instructions (paper section 3.4, Figure 6).
+
+    Every member carries two plain attributes, ``is_control`` (a control
+    transfer, traps included) and ``is_memory`` (a load or store), so
+    asking either is one attribute read: no hashing of the member.
+    """
 
     CALL = "call"  # direct subroutine call
     CALL_INDIRECT = "call_indirect"  # call through a register
@@ -29,17 +34,9 @@ class Category(enum.Enum):
     COMPUTE = "compute"  # everything else that is valid
     INVALID = "invalid"  # not an instruction (data)
 
-    @property
-    def is_control(self):
-        return self in _CONTROL_CATEGORIES
 
-    @property
-    def is_memory(self):
-        return self in (Category.LOAD, Category.STORE)
-
-
-_CONTROL_CATEGORIES = frozenset(
-    {
+for _category in Category:
+    _category.is_control = _category in (
         Category.CALL,
         Category.CALL_INDIRECT,
         Category.JUMP,
@@ -47,8 +44,9 @@ _CONTROL_CATEGORIES = frozenset(
         Category.BRANCH,
         Category.RETURN,
         Category.SYSTEM,
-    }
-)
+    )
+    _category.is_memory = _category in (Category.LOAD, Category.STORE)
+del _category
 
 
 class RegisterSet:
@@ -278,6 +276,10 @@ class MachineConventions:
 
     def direct_jump(self, pc, target):
         """One-word direct jump from *pc* to *target* (may raise SpanError)."""
+        raise NotImplementedError
+
+    def direct_jump_reaches(self, pc, target):
+        """True when :meth:`direct_jump` from *pc* reaches *target*."""
         raise NotImplementedError
 
     def rebind_registers(self, words, mapping):

@@ -18,16 +18,6 @@ from repro.isa.mips.handwritten import (
 SPILL_BASE_OFFSET = -64
 
 
-def hi16(value):
-    """Upper half for lui, adjusted for the signed low half."""
-    return ((value + 0x8000) >> 16) & 0xFFFF
-
-
-def lo16(value):
-    """Signed low half matching :func:`hi16`."""
-    return bits.sign_extend(value & 0xFFFF, 16)
-
-
 class MipsConventions(MachineConventions):
     arch = "mips"
 
@@ -65,15 +55,18 @@ class MipsConventions(MachineConventions):
         return words
 
     def counter_increment(self, counter_addr, tmp_addr_reg, tmp_val_reg):
-        codec = self.codec
-        return [
-            codec.encode("lui", rt=tmp_addr_reg, uimm16=hi16(counter_addr)),
-            codec.encode("lw", rt=tmp_val_reg, rs=tmp_addr_reg,
-                         imm16=lo16(counter_addr)),
-            codec.encode("addiu", rt=tmp_val_reg, rs=tmp_val_reg, imm16=1),
-            codec.encode("sw", rt=tmp_val_reg, rs=tmp_addr_reg,
-                         imm16=lo16(counter_addr)),
-        ]
+        """The Figure 5 snippet, instantiated from one encoded template
+        per register pair: the counter's address goes into the lw/sw
+        offsets (its signed low half) and the lui (its upper half,
+        adjusted for the sign of the low half)."""
+        template = _COUNTER_TEMPLATES.get((tmp_addr_reg, tmp_val_reg))
+        if template is None:
+            template = _counter_template(self.codec, tmp_addr_reg,
+                                         tmp_val_reg)
+        upper, load, increment, store = template
+        low = counter_addr & 0xFFFF
+        return [upper | (counter_addr + 0x8000) >> 16 & 0xFFFF, load | low,
+                increment, store | low]
 
     def spill(self, reg, slot):
         offset = SPILL_BASE_OFFSET - 4 * slot
@@ -90,9 +83,14 @@ class MipsConventions(MachineConventions):
         words.append(codec.nop_word)
         return words
 
+    def direct_jump_reaches(self, pc, target):
+        """True when j at *pc* reaches *target*: the same 256MB region as
+        its delay slot."""
+        return (target & 0xF0000000) == ((pc + 4) & 0xF0000000)
+
     def direct_jump(self, pc, target):
         # j is pseudo-absolute within a 256MB region of the delay slot.
-        if (target & 0xF0000000) != ((pc + 4) & 0xF0000000):
+        if not self.direct_jump_reaches(pc, target):
             raise SpanError("j target outside 256MB region")
         return self.codec.encode("j", target26=(target & 0x0FFFFFFF) >> 2)
 
@@ -113,32 +111,48 @@ class MipsConventions(MachineConventions):
         A rewritten word keeps only the bits its decoded fields cover,
         as if re-encoded from them (see :data:`_REBIND_R`).
         """
+        out = list(words)
         if not mapping:
-            return list(words)
-        out = []
-        for word in words:
+            return out
+        for index, word in enumerate(out):
             opcode = word >> 26 & 0x3F
             if opcode == 0:
-                spec = _REBIND_R.get(word & 0x3F)
+                spec = word & 0x3F
+                spec = _REBIND_R[spec] if spec in _REBIND_R else None
             elif opcode == OP_REGIMM:
                 spec = _REBIND_REGIMM \
                     if (word >> 16 & 0x1F) in REGIMM_BY_RT else None
             else:
-                spec = _REBIND_I.get(opcode)
-            if spec is not None:
-                shifts, keep = spec
-                rebound = word
-                changed = False
-                for shift in shifts:
-                    reg = word >> shift & 0x1F
-                    if reg in mapping:
-                        rebound = (rebound & ~(0x1F << shift)
-                                   | (mapping[reg] & 0x1F) << shift)
-                        changed = True
-                if changed:
-                    word = rebound & keep
-            out.append(word)
+                spec = _REBIND_I[opcode] if opcode in _REBIND_I else None
+            if spec is None:
+                continue
+            shifts, keep = spec
+            rebound = word
+            changed = False
+            for shift in shifts:
+                reg = word >> shift & 0x1F
+                if reg in mapping:
+                    rebound = (rebound & ~(0x1F << shift)
+                               | (mapping[reg] & 0x1F) << shift)
+                    changed = True
+            if changed:
+                out[index] = rebound & keep
         return out
+
+
+# Counter-increment templates by (address register, value register):
+# the four words with a zero counter address.
+_COUNTER_TEMPLATES = {}
+
+
+def _counter_template(codec, addr_reg, val_reg):
+    template = _COUNTER_TEMPLATES[addr_reg, val_reg] = (
+        codec.encode("lui", rt=addr_reg, uimm16=0),
+        codec.encode("lw", rt=val_reg, rs=addr_reg, imm16=0),
+        codec.encode("addiu", rt=val_reg, rs=val_reg, imm16=1),
+        codec.encode("sw", rt=val_reg, rs=addr_reg, imm16=0),
+    )
+    return template
 
 
 # Register-field rebinding: (shifts of the rs/rt/rd fields the decoder

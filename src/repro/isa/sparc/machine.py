@@ -84,16 +84,20 @@ class SparcConventions(MachineConventions):
         return words
 
     def counter_increment(self, counter_addr, tmp_addr_reg, tmp_val_reg):
-        """The Figure 5 snippet: load, increment, and store a counter."""
-        codec = self.codec
-        return [
-            codec.encode("sethi", rd=tmp_addr_reg, imm22=hi22(counter_addr)),
-            codec.encode("ld", rd=tmp_val_reg, rs1=tmp_addr_reg,
-                         simm13=lo10(counter_addr)),
-            codec.encode("add", rd=tmp_val_reg, rs1=tmp_val_reg, simm13=1),
-            codec.encode("st", rd=tmp_val_reg, rs1=tmp_addr_reg,
-                         simm13=lo10(counter_addr)),
-        ]
+        """The Figure 5 snippet: load, increment, and store a counter.
+
+        Instantiated from one encoded template per register pair (the
+        paper's Figure 2 tagged snippet): the counter's address goes
+        into the sethi's imm22 and the ld/st simm13 fields.
+        """
+        template = _COUNTER_TEMPLATES.get((tmp_addr_reg, tmp_val_reg))
+        if template is None:
+            template = _counter_template(self.codec, tmp_addr_reg,
+                                         tmp_val_reg)
+        sethi, load, increment, store = template
+        low = counter_addr & 0x3FF
+        return [sethi | counter_addr >> 10 & 0x3FFFFF, load | low,
+                increment, store | low]
 
     def spill(self, reg, slot):
         offset = SPILL_BASE_OFFSET - 4 * slot
@@ -120,20 +124,25 @@ class SparcConventions(MachineConventions):
             codec.nop_word,
         ]
 
+    def direct_jump_reaches(self, pc, target):
+        """True when a one-word direct jump (ba, ba,a) at *pc* reaches
+        *target*: an aligned displacement within +-8MB."""
+        offset = (target - pc) & bits.WORD_MASK
+        return not offset & 3 and (offset < 0x800000
+                                   or offset >= 0xFF800000)
+
     def direct_jump(self, pc, target):
         """An unconditional one-word branch (plus its delay slot is the
         caller's concern); raises SpanError beyond +-8MB."""
-        offset = bits.to_s32(target - pc)
-        if offset & 3 or not -0x200000 <= offset >> 2 <= 0x1FFFFF:
+        if not self.direct_jump_reaches(pc, target):
             raise SpanError("ba target out of span")
-        return _BA | (offset >> 2) & 0x3FFFFF
+        return _BA | (target - pc) >> 2 & 0x3FFFFF
 
     def direct_jump_annulled(self, pc, target):
         """ba,a: jump whose (absent) delay slot never executes."""
-        offset = bits.to_s32(target - pc)
-        if offset & 3 or not -0x200000 <= offset >> 2 <= 0x1FFFFF:
+        if not self.direct_jump_reaches(pc, target):
             raise SpanError("ba,a target out of span")
-        return _BA_A | (offset >> 2) & 0x3FFFFF
+        return _BA_A | (target - pc) >> 2 & 0x3FFFFF
 
     def call_word(self, pc, target):
         offset = bits.to_s32(target - pc)
@@ -149,36 +158,46 @@ class SparcConventions(MachineConventions):
         that ``ta`` has no register fields, ``rdpsr`` reads no rs1 and
         ``wrpsr`` has only rs1; ``sethi`` rebinds rd.
         """
+        out = list(words)
         if not mapping:
-            return list(words)
-        out = []
-        for word in words:
+            return out
+        for index, word in enumerate(out):
             op = word >> 30 & 3
             if op >= 2:
-                word = _rebind_format3(word, op, mapping)
+                op3 = word >> 19 & 0x3F
+                if op == 2 and op3 == OP3_TRAP:
+                    continue
+                rs1 = word >> 14 & 0x1F
+                if rs1 in mapping and not (op == 2 and op3 == OP3_RDPSR):
+                    word = word & 0xFFF83FFF | (mapping[rs1] & 0x1F) << 14
+                if not (op == 2 and op3 == OP3_WRPSR):
+                    rd = word >> 25 & 0x1F
+                    if rd in mapping:
+                        word = word & 0xC1FFFFFF | (mapping[rd] & 0x1F) << 25
+                    if not word & 0x2000:  # register form: rewrite rs2
+                        rs2 = word & 0x1F
+                        if rs2 in mapping:
+                            word = word & 0xFFFFFFE0 | mapping[rs2] & 0x1F
             elif op == 0 and word & 0x01C00000 == 0x01000000:  # sethi
                 rd = word >> 25 & 0x1F
                 if rd in mapping:
                     word = word & 0xC1FFFFFF | (mapping[rd] & 0x1F) << 25
-            out.append(word)
+            else:
+                continue
+            out[index] = word
         return out
 
 
+# Counter-increment templates by (address register, value register):
+# the four words with a zero counter address.
+_COUNTER_TEMPLATES = {}
 
-def _rebind_format3(word, op, mapping):
-    op3 = word >> 19 & 0x3F
-    if op == 2 and op3 == OP3_TRAP:
-        return word
-    rs1 = word >> 14 & 0x1F
-    if rs1 in mapping and not (op == 2 and op3 == OP3_RDPSR):
-        word = word & 0xFFF83FFF | (mapping[rs1] & 0x1F) << 14
-    if op == 2 and op3 == OP3_WRPSR:
-        return word
-    rd = word >> 25 & 0x1F
-    if rd in mapping:
-        word = word & 0xC1FFFFFF | (mapping[rd] & 0x1F) << 25
-    if not word & 0x2000:  # register form: rewrite rs2
-        rs2 = word & 0x1F
-        if rs2 in mapping:
-            word = word & 0xFFFFFFE0 | mapping[rs2] & 0x1F
-    return word
+
+def _counter_template(codec, addr_reg, val_reg):
+    template = _COUNTER_TEMPLATES[addr_reg, val_reg] = (
+        codec.encode("sethi", rd=addr_reg, imm22=0),
+        codec.encode("ld", rd=val_reg, rs1=addr_reg, simm13=0),
+        codec.encode("add", rd=val_reg, rs1=val_reg, simm13=1),
+        codec.encode("st", rd=val_reg, rs1=addr_reg, simm13=0),
+    )
+    return template

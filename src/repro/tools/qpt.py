@@ -13,12 +13,17 @@ Reconstruction yields per-edge and per-block execution counts that the
 test suite compares against simulator ground truth.
 """
 
+from itertools import compress
+
 from repro.obs import metrics as _metrics
 from repro.obs.trace import span as _span
 from repro.tools import MODES
 from repro.tools.common import CounterArray, RoutineEditor, counter_snippet
 
 _UNEDITABLE_WEIGHT = 1 << 30
+# Static heuristic by edge kind: prefer keeping fall-through edges
+# uncounted.  Any other kind weighs 1.
+_EDGE_WEIGHT = {"fall": 4, "creturn": 3, "uncond": 2}
 
 _C_COUNTERS = _metrics.counter("qpt.counters_placed")
 _C_SKIPPED = _metrics.counter("qpt.uninstrumentable_edges")
@@ -32,7 +37,7 @@ class RoutineProfile:
         self.edges = []  # all CFG edges (stable order)
         self.measured = {}  # edge position -> counter index
         self.tree = set()  # edge positions on the spanning tree
-        self.blocks = []  # block ids and start addrs
+        self.blocks = []  # the CFG's blocks (kept alive by the edges)
         self.virtual_edge = None  # (exit id, entry id) circulation edge
 
 
@@ -77,15 +82,16 @@ class QptProfiler(RoutineEditor):
     # -- edge mode ---------------------------------------------------------
     def _instrument_edges(self, routine, cfg):
         profile = RoutineProfile(routine)
-        profile.blocks = [(b.id, b.start, b.kind) for b in cfg.blocks]
+        profile.blocks = cfg.blocks
         edges = cfg.all_edges()
         profile.edges = edges
         profile.virtual_edge = (cfg.exit.id, cfg.entry.id)
 
-        tree = self._spanning_tree(cfg, edges)
-        profile.tree = tree
+        on_tree = _spanning_tree(cfg, edges)
+        profile.tree = set(compress(range(len(edges)), on_tree))
+        counters = self.counters
         for position, edge in enumerate(edges):
-            if position in tree:
+            if on_tree[position]:
                 continue
             if not edge.editable:
                 # Cannot instrument and not on the tree: counts for this
@@ -93,57 +99,14 @@ class QptProfiler(RoutineEditor):
                 # counting what we can.
                 _C_SKIPPED.inc()
                 continue
-            index = self.counters.allocate(
-                (routine.name, edge.src.id, edge.dst.id)
-            )
+            src, dst = edge.src.id, edge.dst.id
+            index = counters.allocate((routine.name, src, dst))
             profile.measured[position] = index
             edge.add_code_along(
-                counter_snippet(self.exec, self.counters.address(index),
-                                tag=("qpt.edge", routine.name,
-                                     edge.src.id, edge.dst.id))
+                counter_snippet(self.exec, counters.address(index),
+                                tag=("qpt.edge", routine.name, src, dst))
             )
         self.profiles[routine.name] = profile
-
-    def _spanning_tree(self, cfg, edges):
-        """Maximum spanning tree (undirected) over block ids.
-
-        Uneditable edges get maximal weight so they always join the tree;
-        the virtual exit->entry circulation edge is implicitly on the
-        tree (it is never a real edge).
-        """
-        parent = {}
-
-        def find(x):
-            while parent.get(x, x) != x:
-                parent[x] = parent.get(parent[x], parent[x])
-                x = parent[x]
-            return x
-
-        def union(a, b):
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                return False
-            parent[ra] = rb
-            return True
-
-        # The virtual edge joins exit and entry first.
-        union(cfg.exit.id, cfg.entry.id)
-        weighted = sorted(
-            range(len(edges)),
-            key=lambda pos: -( _UNEDITABLE_WEIGHT if not edges[pos].editable
-                               else self._edge_weight(edges[pos])),
-        )
-        tree = set()
-        for position in weighted:
-            edge = edges[position]
-            if union(edge.src.id, edge.dst.id):
-                tree.add(position)
-        return tree
-
-    @staticmethod
-    def _edge_weight(edge):
-        # Static heuristic: prefer keeping fall-through edges uncounted.
-        return {"fall": 4, "creturn": 3, "uncond": 2}.get(edge.kind, 1)
 
     # ------------------------------------------------------------------
     # Count reconstruction (edge mode)
@@ -161,14 +124,14 @@ class QptProfiler(RoutineEditor):
             edge_flow = self._reconstruct(profile, values)
             if edge_flow is None:
                 continue
-            for block_id, start, kind in profile.blocks:
-                if kind != "normal" or start is None:
+            for block in profile.blocks:
+                if block.kind != "normal" or block.start is None:
                     continue
                 total = sum(
                     flow for (src, dst), flow in edge_flow.items()
-                    if dst == block_id
+                    if dst == block.id
                 )
-                counts[(name, start)] = total
+                counts[(name, block.start)] = total
         return counts
 
     def edge_counts(self, simulator):
@@ -245,3 +208,32 @@ def profile(image, mode="edge", stdin_text=""):
     tool = QptProfiler(image, mode=mode).run()
     simulator = run_image(tool.edited_image(), stdin_text=stdin_text)
     return tool, simulator
+
+
+def _spanning_tree(cfg, edges):
+    """Per edge position, whether the edge is on a maximum spanning tree
+    (undirected) over the block ids -- Kruskal over integer lists.
+
+    Uneditable edges get maximal weight so they always join the tree;
+    the virtual exit->entry circulation edge is implicitly on the tree
+    (it is never a real edge).
+    """
+    parent = list(range(len(cfg.blocks)))
+    # The virtual edge joins exit and entry first.
+    parent[cfg.exit.id] = cfg.entry.id
+    weights = [-_EDGE_WEIGHT.get(edge.kind, 1) if edge.editable
+               else -_UNEDITABLE_WEIGHT for edge in edges]
+    order = sorted(range(len(edges)), key=weights.__getitem__)
+    on_tree = [False] * len(edges)
+    for position in order:
+        edge = edges[position]
+        a = edge.src.id
+        while parent[a] != a:
+            parent[a] = a = parent[parent[a]]
+        b = edge.dst.id
+        while parent[b] != b:
+            parent[b] = b = parent[parent[b]]
+        if a != b:
+            parent[a] = b
+            on_tree[position] = True
+    return on_tree

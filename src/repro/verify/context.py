@@ -5,19 +5,20 @@ Everything in ``repro.verify`` works from the same three artifacts:
 * the *original* image (untouched by editing — the finalizer copies
   sections, so a fresh analysis of it is valid after edits);
 * the *edited* image plus the finalizer's address map;
-* an *edit placement* — a walk of every edited routine's laid-out items
-  giving, for each address in ``.text.edited``, the item that was
-  placed there and the basic block it came from.
+* an *edit placement* — rebuilt from every edited routine's placement
+  log and fixups, giving, for each address in ``.text.edited``, the
+  unit that was placed there and the basic block it came from.
 
 The placement is what turns a bare divergent address into provenance:
 "the counter snippet qpt added before block 0x2094 of fib".
 """
 
 import bisect
+import collections
 import struct
 
 from repro.core.executable import Executable
-from repro.core.layout import Item
+from repro.core.layout import label_name
 
 NEW_TEXT_SECTION = ".text.edited"
 
@@ -52,15 +53,25 @@ class Finding:
         return "Finding(%s)" % self
 
 
+# One placed unit of an edited routine: a ``word`` (an original or
+# synthesized instruction whose value layout knew), a fixup kind
+# (``branch``, ``xfer``, ``patch``, ``jump``, ``jumpxfer``), or a
+# ``snippet``.  *word* is the word emitted (for a fixup, the word before
+# its target was filled in), *orig_addr* the original address it came
+# from, *snippet* the AllocatedSnippet of a snippet.
+PlacedUnit = collections.namedtuple("PlacedUnit",
+                                    "kind word orig_addr snippet")
+
+
 class PlacedItem:
-    """One layout item with its resolved address range and provenance."""
+    """One placed unit with its resolved address range and provenance."""
 
     __slots__ = ("start", "end", "item", "routine", "block", "region")
 
     def __init__(self, start, end, item, routine, block, region):
         self.start = start
         self.end = end
-        self.item = item  # repro.core.layout.Item
+        self.item = item  # PlacedUnit
         self.routine = routine  # routine name
         self.block = block  # original block-start address (None in stubs)
         self.region = region  # label name of the enclosing region
@@ -81,50 +92,86 @@ class PlacedItem:
         return " ".join(parts)
 
 
-class EditPlacement:
-    """Address-ordered walk of every edited routine's placed items.
+def _label_place(key):
+    """(block, region) of the label *key*: a block's label is keyed by
+    its start address, a stub's by its name; no label, no provenance."""
+    if key is None:
+        return None, None
+    return (None if key.__class__ is str else key), label_name(key)
 
-    Reconstructs where each :class:`~repro.core.layout.Item` landed from
-    the routine's ``edited.base`` and the items' sizes — the same
-    arithmetic the finalizer used, so it is exact even after tools like
-    qpt delete their CFGs.  A ``run`` item (a stretch of untouched
-    original words) expands into one ``word`` entry per word, so every
-    original word has its own provenance, as if laid out one by one.
+
+def _routine_entries(routine):
+    """The placed units of one finalized edited routine, address order.
+
+    Every 4-byte slot of the routine's bytes that no fixup or snippet
+    covers is a ``word`` unit of its own, a run's words included, so
+    every original word has its own provenance.
+    """
+    edited = routine.edited
+    base = edited.base
+    code = edited.code
+    words = struct.unpack(">%dI" % (len(code) // 4), code)
+    origin = {}  # offset -> original address
+    for orig, offset, size in edited.origins:
+        for step in range(0, size, 4):
+            origin[offset + step] = orig + step
+    covered = {}  # offset -> (bytes, kind, word, snippet, label or None)
+    for offset, kind, word, _, extra in edited.fixups:
+        if kind != "snippet":
+            covered[offset] = (extra if kind in ("jump", "jumpxfer")
+                               else 4, kind, word, None, None)
+    empty = collections.defaultdict(list)  # offset -> [(snippet, label)]
+    for offset, allocated, label in edited.snippets:
+        if allocated.words:
+            covered[offset] = (4 * len(allocated.words), "snippet", None,
+                               allocated, label)
+        else:
+            empty[offset].append((allocated, label))
+    labels = list(edited.labels.items())  # emission order: offsets rise
+    next_label = 0
+    label_in_force = None
+    entries = []
+    offset = 0
+    while offset <= len(code):
+        for allocated, label in empty.get(offset, ()):
+            block, region = _label_place(label)
+            entries.append(PlacedItem(
+                base + offset, base + offset,
+                PlacedUnit("snippet", None, None, allocated),
+                routine.name, block, region))
+        if offset == len(code):
+            break
+        while next_label < len(labels) and labels[next_label][1] <= offset:
+            label_in_force = labels[next_label][0]
+            next_label += 1
+        size, kind, word, allocated, label = covered.get(offset) or (
+            4, "word", words[offset >> 2], None, None)
+        block, region = _label_place(label_in_force if label is None
+                                     else label)
+        entries.append(PlacedItem(
+            base + offset, base + offset + size,
+            PlacedUnit(kind, word, origin.get(offset), allocated),
+            routine.name, block, region))
+        offset += size
+    return entries
+
+
+class EditPlacement:
+    """Address-ordered walk of every edited routine's placed units.
+
+    Rebuilt from each routine's placement log and fixups and its
+    ``edited.base`` -- the same offsets the finalizer placed, so it is
+    exact even after tools like qpt delete their CFGs.
     """
 
     def __init__(self, executable):
-        arch = executable.arch
         entries = []
         for routine in sorted(executable._edited_routines.values(),
                               key=lambda r: r.start):
             edited = routine.edited
             if edited is None or edited.base is None:
                 continue
-            cursor = edited.base
-            block = None
-            region = None
-            for item in edited.items:
-                if item.kind == "label":
-                    region = item.label
-                    # Stub labels carry no original address; attribution
-                    # stops at the routine level inside them.
-                    block = item.orig_addr
-                    continue
-                if item.kind == "run":
-                    words = struct.unpack(">%dI" % (len(item.data) // 4),
-                                          item.data)
-                    for offset, word in enumerate(words):
-                        entries.append(PlacedItem(
-                            cursor, cursor + 4,
-                            Item("word", word=word,
-                                 orig_addr=item.orig_addr + 4 * offset),
-                            routine.name, block, region))
-                        cursor += 4
-                    continue
-                size = item.size(arch)
-                entries.append(PlacedItem(cursor, cursor + size, item,
-                                          routine.name, block, region))
-                cursor += size
+            entries.extend(_routine_entries(routine))
         entries.sort(key=lambda entry: entry.start)
         self.entries = entries
         self._starts = [entry.start for entry in entries]

@@ -1,5 +1,7 @@
 """EELF images: serialization round-trips and the linker."""
 
+import struct
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -15,8 +17,8 @@ from repro.binfmt import (
     write_image,
 )
 from repro.binfmt.image import SEC_EXEC, SEC_NOBITS, SEC_WRITE
-from repro.binfmt.serialize import FormatError, image_from_bytes, \
-    image_to_bytes
+from repro.binfmt.serialize import MAGIC, VERSION, FormatError, \
+    image_from_bytes, image_to_bytes
 
 
 def _sample_image():
@@ -93,6 +95,95 @@ def test_symbol_table_cut_anywhere_is_truncated():
             for s in back.symbols] == \
         [(s.name, s.value, s.kind, s.binding, s.size, s.section)
          for s in image.symbols]
+
+
+def _pack_str_reference(text):
+    raw = text.encode("utf-8")
+    return struct.pack(">H", len(raw)) + raw
+
+
+def _image_to_bytes_reference(image):
+    """The field-by-field encoder ``image_to_bytes`` replaced: every
+    string through its own length-prefixed pack, every integer field
+    packed on its own."""
+    out = bytearray()
+    out += MAGIC
+    out += struct.pack(">H", VERSION)
+    out += struct.pack(">B", 0 if image.kind == "exec" else 1)
+    out += _pack_str_reference(image.arch)
+    out += struct.pack(">I", image.entry)
+    sections = list(image.sections.values())
+    reloc_items = [(name, reloc)
+                   for name, relocs in sorted(image.relocations.items())
+                   for reloc in relocs]
+    out += struct.pack(">H", len(sections))
+    out += struct.pack(">I", len(image.symbols))
+    out += struct.pack(">I", len(reloc_items))
+    for section in sections:
+        out += _pack_str_reference(section.name)
+        out += struct.pack(">IIB", section.vaddr, section.size,
+                           section.flags)
+    for symbol in image.symbols:
+        out += _pack_str_reference(symbol.name)
+        out += struct.pack(">I", symbol.value)
+        out += _pack_str_reference(symbol.kind)
+        out += _pack_str_reference(symbol.binding)
+        out += struct.pack(">I", symbol.size)
+        out += _pack_str_reference(symbol.section)
+    for section_name, reloc in reloc_items:
+        out += _pack_str_reference(section_name)
+        out += struct.pack(">I", reloc.offset)
+        out += _pack_str_reference(reloc.kind)
+        out += _pack_str_reference(reloc.symbol)
+        out += struct.pack(">i", reloc.addend)
+    for section in sections:
+        if not section.flags & SEC_NOBITS:
+            out += bytes(section.data)
+    return bytes(out)
+
+
+_SYMBOL_STRINGS = st.text(max_size=12) | st.sampled_from(
+    ["", "main", "func", "object", "label", "global", "local", ".text",
+     "\u00e9t\u00e9", "\u6f22\u5b57", "\U0001f600"])
+_SYMBOLS = st.builds(
+    Symbol, name=_SYMBOL_STRINGS, value=st.integers(0, 2**32 - 1),
+    kind=_SYMBOL_STRINGS, binding=_SYMBOL_STRINGS,
+    size=st.integers(0, 2**32 - 1), section=_SYMBOL_STRINGS)
+
+
+@given(st.lists(_SYMBOLS, max_size=8))
+def test_symbol_records_match_field_by_field_encoder(symbols):
+    image = _sample_image()
+    image.symbols.extend(symbols)
+    blob = image_to_bytes(image)
+    assert blob == _image_to_bytes_reference(image)
+    back = image_from_bytes(blob)
+    assert [(s.name, s.value, s.kind, s.binding, s.size, s.section)
+            for s in back.symbols] \
+        == [(s.name, s.value, s.kind, s.binding, s.size, s.section)
+            for s in image.symbols]
+
+
+@pytest.mark.parametrize("field", ["name", "kind", "binding", "section"])
+@pytest.mark.parametrize("text", ["x" * 65536, "\u00e9" * 32768])
+def test_overlong_symbol_string_raises_reference_error(field, text):
+    image = _sample_image()
+    symbol = Symbol("ok", 0)
+    setattr(symbol, field, text)
+    image.add_symbol(symbol)
+    with pytest.raises(struct.error) as reference:
+        _image_to_bytes_reference(image)
+    with pytest.raises(struct.error) as packed:
+        image_to_bytes(image)
+    assert str(packed.value) == str(reference.value)
+
+
+def test_longest_symbol_string_packs():
+    image = _sample_image()
+    image.add_symbol(Symbol("\u00e9" * 32767 + "x", 0))  # 65,535 bytes
+    blob = image_to_bytes(image)
+    assert blob == _image_to_bytes_reference(image)
+    assert image_from_bytes(blob).symbols[-1].name == image.symbols[-1].name
 
 
 def test_section_queries():

@@ -317,10 +317,10 @@ def test_long_trampoline_mips_far_region():
 
 
 def test_jump_item_relaxed_to_long_form():
-    """A jump/jumpxfer item whose target is out of direct span grows to
-    the long stub during placement instead of raising LayoutError."""
+    """A synthesized jump (a jump/jumpxfer fixup) whose target is out of
+    direct span grows to the long stub during placement instead of
+    raising LayoutError."""
     from repro.core import Executable as _Executable
-    from repro.core.layout import Item
     from repro.obs import metrics
 
     image = build_image("fib")
@@ -332,10 +332,50 @@ def test_jump_item_relaxed_to_long_form():
     # Synthetic escape back to unedited main: from 0x20000000 this is
     # far outside the ±8MB disp22 span.
     main_start = exe.routine("main").start
-    fib.edited.items.append(Item("jumpxfer", orig_target=main_start))
+    edited = fib.edited
+    site = len(edited.code)
+    edited.fixups.append((site, "jumpxfer", None, main_start, 4))
+    edited.code += bytes(4)
     before = metrics.counter("layout.long_branches").value
     out = exe.edited_image()
     assert metrics.counter("layout.long_branches").value >= before + 2
+    # The jump stays where it was emitted and grows in place to the
+    # three-word sethi/jmpl/nop stub.
+    assert edited.fixups[-1] == (site, "jumpxfer", None, main_start, 12)
+    assert len(edited.code) == site + 12
+    codec = exe.codec
+    stub = [out.get_section(".text.edited").word_at(edited.base + site + 4 * i)
+            for i in range(3)]
+    assert [codec.decode(word).name for word in stub[:2]] == ["sethi",
+                                                              "jmpl"]
+    assert stub[2] == codec.nop_word
     # The appended item is dead code; the program still runs.
     simulator = run_image(out)
     assert simulator.output == expected_output("fib")
+
+
+def test_grow_jumps_moves_everything_after_the_jump():
+    """Growing a jump re-emits its routine: the jump's bytes grow in
+    place to the long size and every offset after the jump moves down
+    by the growth; what sits at or before the jump stays put."""
+    from repro.core import Executable as _Executable
+
+    exe = _Executable(build_image("fib")).read_contents()
+    edited = exe.routine("fib").produce_edited_routine()
+    code = bytes(range(24))
+    edited.code = bytearray(code)
+    edited.fixups = [(4, "jump", None, 0, 4), (8, "branch", 7, 0, None),
+                     (16, "jumpxfer", None, 0x1000, 4)]
+    edited.labels = {0: 0, 1: 4, 2: 8, "a0.stub1": 20}
+    edited.origins = [(0x100, 0, 4), (0x200, 12, 4), (0x300, 20, 4)]
+    edited.snippets = [(8, None, 1), (20, None, 2)]
+    edited.grow_jumps([0, 2])
+    assert edited.code == (code[:8] + bytes(8) + code[8:20] + bytes(8)
+                           + code[20:])
+    assert edited.fixups == [(4, "jump", None, 0, 12),
+                             (16, "branch", 7, 0, None),
+                             (24, "jumpxfer", None, 0x1000, 12)]
+    assert edited.labels == {0: 0, 1: 4, 2: 16, "a0.stub1": 36}
+    assert edited.origins == [(0x100, 0, 4), (0x200, 20, 4),
+                              (0x300, 36, 4)]
+    assert edited.snippets == [(16, None, 1), (36, None, 2)]

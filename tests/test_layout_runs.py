@@ -1,12 +1,14 @@
-"""Run-item layout invariants (paper section 3.3: unedited code keeps
-its bits).
+"""Run layout invariants (paper section 3.3: unedited code keeps its
+bits).
 
 Layout emits each maximal stretch of untouched original words as one
-``run`` item holding the words' bytes.  For every corpus workload with
-every tool its architecture supports, and for generated programs, the
-laid-out edit must satisfy:
+run of bytes copied from ``.text``, logs every placed original word's
+offset, and leaves placeholders only where a fixup writes a final
+address.  For every corpus workload with every tool its architecture
+supports, and for generated programs, the laid-out edit must satisfy:
 
-* a run's bytes are the original ``.text`` bytes over its range;
+* every placed original word that no fixup rewrites keeps the original
+  ``.text`` bytes over its range;
 * the address map sends each original word to its first placed copy
   (a block's first word to its block label, which precedes any
   snippets), run words included;
@@ -14,8 +16,10 @@ laid-out edit must satisfy:
   ``.text.edited`` with no gap or overlap, one ``word`` entry per run
   word, and every ``word`` entry equals the edited image's word and,
   when it has one, the original word at its original address;
-* runs are maximal: two runs next to each other in the item stream
-  never cover contiguous original addresses.
+* runs are maximal: two untouched placements next to each other in the
+  output, with no label between them, continue each other's original
+  addresses only where the second is a control transfer or a delay
+  slot, which layout emits on their own.
 """
 
 import pytest
@@ -29,6 +33,16 @@ from repro.workloads.builder import (
     mips_program_names,
     program_names,
 )
+
+
+def _emitted_alone(executable, addr):
+    """Whether layout emits the original word at *addr* on its own: a
+    control transfer, or the delay slot of one."""
+    text = executable.text_table()
+    instruction = text[addr]
+    previous = text.get(addr - 4)
+    return instruction.is_control or (previous is not None
+                                      and previous.inst.is_delayed)
 
 
 _CASES = ([(name, tool) for name in program_names()
@@ -65,27 +79,30 @@ def test_run_layout_invariants(name, tool):
     label_at = {}  # block start -> its label's placed address
     first_copy = {}  # original word address -> its first placed copy
     for routine in routines:
-        cursor = routine.edited.base
+        edited = routine.edited
+        base = edited.base
+        for key, offset in edited.labels.items():
+            if isinstance(key, int):
+                label_at.setdefault(key, base + offset)
+        rewritten = {fixup[0] for fixup in edited.fixups}
+        labelled = set(edited.labels.values())
         previous = None
-        for item in routine.edited.items:
-            if item.kind == "label":
-                if item.orig_addr is not None:
-                    label_at.setdefault(item.orig_addr, cursor)
-            elif item.kind == "run":
-                runs += 1
-                lo = item.orig_addr - original.vaddr
-                assert item.data == original.data[lo:lo + len(item.data)]
-                for offset in range(0, len(item.data), 4):
-                    first_copy.setdefault(item.orig_addr + offset,
-                                          cursor + offset)
-                if previous is not None and previous.kind == "run":
-                    assert previous.orig_addr + len(previous.data) \
-                        != item.orig_addr, "runs not maximal"
-            elif item.orig_addr is not None:
-                first_copy.setdefault(item.orig_addr, cursor)
-            previous = item
-            cursor += item.size(arch)
-    assert runs, "no run items laid out"
+        for orig, offset, size in edited.origins:
+            for step in range(0, size, 4):
+                first_copy.setdefault(orig + step, base + offset + step)
+            if offset in rewritten:
+                previous = None
+                continue
+            runs += 1
+            lo = orig - original.vaddr
+            assert edited.code[offset:offset + size] \
+                == original.data[lo:lo + size]
+            if previous is not None and offset not in labelled \
+                    and previous[1] + previous[2] == offset \
+                    and previous[0] + previous[2] == orig:
+                assert _emitted_alone(executable, orig), "runs not maximal"
+            previous = (orig, offset, size)
+    assert runs, "no runs laid out"
     for orig, placed in first_copy.items():
         assert addr_map[orig] == label_at.get(orig, placed), hex(orig)
 
@@ -96,6 +113,19 @@ def test_run_layout_invariants(name, tool):
         assert first.end == second.start, "gap or overlap at 0x%x" \
             % first.end
     assert entries[-1].end == new_text.end
+    # Provenance: the first unit placed at a block's label carries that
+    # block, and no unit is attributed to a block whose label lies
+    # after it.
+    first_at = {}
+    for entry in entries:
+        first_at.setdefault(entry.start, entry)
+    for start, placed in label_at.items():
+        if placed in first_at:
+            assert first_at[placed].block == start, hex(start)
+            assert first_at[placed].region == "a%x" % start
+    for entry in entries:
+        if entry.block is not None:
+            assert label_at[entry.block] <= entry.start
     for entry in entries:
         item = entry.item
         assert item.kind != "run"

@@ -183,11 +183,32 @@ def test_eight_concurrent_clients_zero_dropped(make_server):
 def test_concurrent_same_image_requests_coalesce(make_server, monkeypatch,
                                                  tmp_path):
     """Concurrent requests against one content hash share a single cold
-    analysis; the rest restore from the warm summary it left behind."""
+    analysis; the rest restore from the warm summary it left behind.
+
+    The leader's analysis is held until the three other requests have
+    counted themselves as coalesced, so the overlap does not hang on
+    scheduling; the hold is bounded (well inside the requests' own
+    wait), so a regression fails the count instead of hanging.
+    """
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path / "fresh-cache"))
     server = make_server(jobs=4)
     before = _counter("serve.coalesced")
     errors = []
+    leaders = []
+    coalesce = server.coalesce
+
+    def held_coalesce(key, fn):
+        def held():
+            if key.startswith("analysis:") and not leaders:
+                leaders.append(key)
+                deadline = time.monotonic() + server.config.timeout_s / 2
+                while _counter("serve.coalesced") < before + 3 \
+                        and time.monotonic() < deadline:
+                    time.sleep(0.005)
+            return fn()
+        return coalesce(key, held)
+
+    monkeypatch.setattr(server, "coalesce", held_coalesce)
 
     def ask_routines():
         try:
@@ -203,7 +224,8 @@ def test_concurrent_same_image_requests_coalesce(make_server, monkeypatch,
     for thread in threads:
         thread.join(60)
     assert not errors, errors
-    assert _counter("serve.coalesced") > before
+    assert len(leaders) == 1
+    assert _counter("serve.coalesced") == before + 3
 
 
 # ----------------------------------------------------------------------
