@@ -19,6 +19,7 @@ from repro.tools.qpt_classic import ClassicProfiler
 from repro.workloads import build_image
 
 WORKLOAD = "qsort"  # the spim stand-in: mid-size, calls, loops, a switch
+ROUNDS = 15  # interleaved runs of each tool; each tool's fastest counts
 
 
 def _loc(module):
@@ -31,22 +32,34 @@ def _text_size(image):
     return sum(s.size for s in image.sections.values() if s.is_exec)
 
 
-def test_table1_comparison(benchmark):
+def _fastest_interleaved(tools):
+    """Fastest of ROUNDS runs of each tool, the tools taking turns so
+    that the host's load falls on both alike."""
+    best = [float("inf")] * len(tools)
+    for _ in range(ROUNDS):
+        for index, tool in enumerate(tools):
+            start = time.perf_counter()
+            tool()
+            best[index] = min(best[index], time.perf_counter() - start)
+    return best
+
+
+def test_table1_comparison(benchmark, monkeypatch):
+    # Both tools analyze from scratch: a warm analysis cache would let
+    # qpt2 skip the work the comparison is about.
+    monkeypatch.setenv("REPRO_CACHE", "off")
     image = build_image(WORKLOAD)
     base = run_image(image)
 
-    start = time.perf_counter()
-    classic = ClassicProfiler(image)
-    classic_image = classic.instrument()
-    classic_time = time.perf_counter() - start
+    def run_classic():
+        return ClassicProfiler(image).instrument()
 
     def run_qpt2():
         return QptProfiler(image, mode="edge").run().edited_image()
 
     qpt2_image = benchmark(run_qpt2)
-    start = time.perf_counter()
-    QptProfiler(image, mode="edge").run().edited_image()
-    qpt2_time = time.perf_counter() - start
+    classic_image = run_classic()
+    classic_time, qpt2_time = _fastest_interleaved([run_classic, run_qpt2])
 
     classic_run = run_image(classic_image)
     qpt2_run = run_image(qpt2_image)

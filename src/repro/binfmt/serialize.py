@@ -42,7 +42,8 @@ ANALYSIS_MAGIC = b"EELA"
 #    (repro.core.facts.record) stored after the JSON as binary chunks,
 #    and the dependency edges are no longer stored: the rule table
 #    derives them again from the payloads.
-ANALYSIS_VERSION = 7
+# 8: no "cti" fact kind; the cfg record carries the same two flags.
+ANALYSIS_VERSION = 8
 
 
 class FormatError(Exception):

@@ -23,7 +23,6 @@ _C_HYDRATE_REJECTS = _metrics.counter("facts.hydrate_rejects")
 _SHAPES = {
     "routine": {"name": str, "start": int, "end": int, "entries": list,
                 "hidden": int},
-    "cti": {"cti_in_slot": int, "incomplete": int},
     "dispatch": list,
     "islands": list,
     "callsites": list,

@@ -21,7 +21,6 @@ Fact kinds (all keyed by routine start address; ``cfg`` and
 ``routine`` identity: name, extent, entry points, hidden flag
 ``cfg``     the CFG record (blocks, edges, indirect resolutions)
 ``liveness`` the per-block live-register masks
-``cti``     delay-slot CTI flag (routines tools must refuse to edit)
 ``dispatch`` dispatch-table extents claimed by indirect-jump slicing
 ``islands`` data-island addresses (claimed data inside the extent)
 ``callsites`` outgoing calls/tailcalls with resolved target routines

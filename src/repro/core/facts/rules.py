@@ -8,7 +8,7 @@ structure made explicit:
 * ``routine`` — stages 1-3 output (identity, extents, entry points);
 * ``cfg`` — stage 4 (CFG build with delay normalization and
   indirect-jump slicing baked in);
-* ``liveness``/``cti``/``dispatch``/``islands``/``callsites`` — the
+* ``liveness``/``dispatch``/``islands``/``callsites`` — the
   per-routine analyses tools consume, all derived from the CFG fact.
 
 :func:`solve` drains the store's dirty set as a fixpoint: dirty ``cfg``
@@ -36,7 +36,7 @@ _C_REFRESHED = _metrics.counter("facts.refreshed")
 _C_ESCALATIONS = _metrics.counter("facts.escalations")
 
 # Derivation order: a fact kind only reads kinds to its left.
-KIND_ORDER = ("routine", "cfg", "liveness", "cti", "dispatch", "islands",
+KIND_ORDER = ("routine", "cfg", "liveness", "dispatch", "islands",
               "callsites")
 DERIVED_KINDS = KIND_ORDER[1:]
 # What a seeded store keeps of a donor routine: its identity and the two
@@ -58,12 +58,6 @@ def _derive_cfg(executable, routine, store):
 
 def _derive_liveness(executable, routine, store):
     return LivenessRecord.of(routine.control_flow_graph().live_registers())
-
-
-def _derive_cti(executable, routine, store):
-    record = ensure(executable, store, "cfg", routine)
-    return {"cti_in_slot": int(record.cti_in_slot),
-            "incomplete": int(record.incomplete)}
 
 
 def _derive_dispatch(executable, routine, store):
@@ -119,7 +113,6 @@ RULES = {
     "routine": (_derive_routine, ()),
     "cfg": (_derive_cfg, ("routine",)),
     "liveness": (_derive_liveness, ("cfg",)),
-    "cti": (_derive_cti, ("cfg",)),
     "dispatch": (_derive_dispatch, ("cfg",)),
     "islands": (_derive_islands, ("cfg", "dispatch")),
     "callsites": (_derive_callsites, ("cfg",)),

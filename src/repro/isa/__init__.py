@@ -28,16 +28,8 @@ __all__ = [
 ]
 
 
-def get_codec(arch, generated=False):
-    """Return the codec for *arch* ("sparc" or "mips").
-
-    With ``generated=True``, return the spawn-generated codec built from the
-    machine description instead of the handwritten one.
-    """
-    if generated:
-        from repro.spawn import build_codec
-
-        return build_codec(arch)
+def get_codec(arch):
+    """Return the handwritten codec for *arch* ("sparc" or "mips")."""
     if arch == "sparc":
         from repro.isa.sparc.handwritten import SparcCodec
 

@@ -26,9 +26,8 @@ class ServeConfig:
     """
 
     def __init__(self, socket_path=None, jobs=None, queue_size=None,
-                 timeout_s=None, retry_after_s=None, restarts=None,
-                 warm_cap=None, drain_timeout_s=None, events_path=None,
-                 shard_id=None):
+                 timeout_s=None, retry_after_s=None, drain_timeout_s=None,
+                 events_path=None, shard_id=None):
         env = os.environ
         self.socket_path = socket_path or env.get("REPRO_SERVE_SOCKET") \
             or default_socket_path()
@@ -49,10 +48,6 @@ class ServeConfig:
             else env_float("REPRO_SERVE_TIMEOUT", 60.0, minimum=0.01)
         self.retry_after_s = retry_after_s if retry_after_s is not None \
             else env_float("REPRO_SERVE_RETRY_AFTER", 0.1, minimum=0.0)
-        self.restarts = restarts if restarts is not None \
-            else env_int("REPRO_SERVE_RESTARTS", 3, minimum=0)
-        self.warm_cap = warm_cap if warm_cap is not None \
-            else env_int("REPRO_SERVE_WARM", 64, minimum=1)
         self.drain_timeout_s = drain_timeout_s \
             if drain_timeout_s is not None \
             else env_float("REPRO_SERVE_DRAIN_TIMEOUT", 30.0, minimum=0.1)

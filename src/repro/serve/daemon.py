@@ -45,6 +45,8 @@ _C_DEATHS = _metrics.counter("serve.worker_deaths")
 _H_QUEUE_WAIT = _metrics.histogram("serve.queue_wait")
 
 _WARM_KEYS_CAP = 64  # recent workloads remembered for hot-restart handoff
+RESTARTS = 3  # dead workers replaced before the serial fallback
+WARM_CAP = 64  # analysis summaries the in-memory warm layer keeps
 
 
 class EditServer(FrontDoor):
@@ -83,7 +85,7 @@ class EditServer(FrontDoor):
         """Warm the caches and spawn the worker pool."""
         from repro.cache import enable_memory_layer
 
-        enable_memory_layer(self.config.warm_cap)
+        enable_memory_layer(WARM_CAP)
         for _ in range(self.config.jobs):
             self._spawn_worker()
         _events.emit("daemon.start", pid=os.getpid(), socket=self.address,
@@ -269,7 +271,7 @@ class EditServer(FrontDoor):
 
     def _replace_worker(self):
         with self._lock:
-            if self._restarts_used < self.config.restarts:
+            if self._restarts_used < RESTARTS:
                 self._restarts_used += 1
                 fallback = False
             elif not self._executors and not self._fallback_started:
@@ -283,7 +285,7 @@ class EditServer(FrontDoor):
         else:
             _events.emit("worker.restart",
                          restarts_used=self._restarts_used,
-                         restarts_budget=self.config.restarts)
+                         restarts_budget=RESTARTS)
         self._spawn_worker(fallback=fallback)
 
 

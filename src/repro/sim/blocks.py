@@ -64,7 +64,6 @@ from repro.isa import bits
 from repro.isa.base import Category
 from repro.obs.trace import TRACER as _TRACER
 from repro.sim.machine import (
-    M32,
     MipsCPU,
     SimulationError,
     SimulationTimeout,
@@ -528,6 +527,15 @@ class _Emitter(RTLCompiler):
         return (self.max_count, code)
 
 
+class _StoreAddress(RTLCompiler):
+    """Compiles a store's RTL down to the statement that returns the
+    address it writes, for the single-step path's text-write check."""
+
+    def emit_memory(self, ind, pc, inst, idx, in_slot, addr_expr,
+                    value_expr, dest_reg):
+        self.emit(ind, "return %s" % addr_expr)
+
+
 # ----------------------------------------------------------------------
 # Dispatch loops
 # ----------------------------------------------------------------------
@@ -646,6 +654,21 @@ class _BlockMixin(object):
             cache.clear()
         self._visits.clear()
         return True
+
+    def _store_addr_reader(self, inst):
+        """A function of no arguments that returns the address the
+        store *inst* writes, from the registers before it runs: the
+        address expression of the store's RTL, compiled as a block
+        compiles it.  Like the prepared op it guards, it is the same
+        at every pc."""
+        compiler = _StoreAddress(build_codec(self.simulator.image.arch))
+        compiler.semantics("        ", None, inst, 0, False)
+        source = "\n".join(["def _factory(r):", "    def _address():"]
+                           + compiler.lines + ["    return _address", ""])
+        namespace = {}
+        exec(_compile_source(source, "<store address>"), _EXEC_GLOBALS,
+             namespace)
+        return namespace["_factory"](self.r)
 
     def _prepare(self, inst):
         op = super(_BlockMixin, self)._prepare(inst)
@@ -808,22 +831,6 @@ class _BlockMixin(object):
 class BlockSparcCPU(_BlockMixin, SparcCPU):
     """SPARC with block compilation over the handwritten model."""
 
-    def _store_addr_reader(self, inst):
-        f = inst.f
-        r = self.r
-        rs1 = f["rs1"]
-        if f.get("iflag"):
-            imm = f["simm13"] & M32
-            return lambda: (r[rs1] + imm) & M32
-        rs2 = f["rs2"]
-        return lambda: (r[rs1] + r[rs2]) & M32
-
 
 class BlockMipsCPU(_BlockMixin, MipsCPU):
     """MIPS with block compilation over the handwritten model."""
-
-    def _store_addr_reader(self, inst):
-        f = inst.f
-        r = self.r
-        rs, imm = f["rs"], f["imm16"]
-        return lambda: (r[rs] + imm) & M32

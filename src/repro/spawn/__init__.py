@@ -12,10 +12,12 @@ Entry points:
   :class:`~repro.spawn.parser.Description`;
 * :func:`build_codec` — a :class:`~repro.isa.base.MachineCodec` built
   from the description (drop-in equivalent of the handwritten codec);
-* :func:`generate_source` — emit a standalone generated Python module
+  it runs the module :func:`generate_source` emits;
+* :func:`generate_source` — the generated Python module: field
+  accessors and inserters, decode, and one encoder per instruction
   (the artifact whose size the conciseness experiment measures);
-* :class:`~repro.spawn.compiler.RTLCompiler` — compile description
-  semantics into Python statements; the block engine
+* :class:`~repro.spawn.compiler.RTLCompiler` — the one compiler from
+  description semantics to Python statements; the block engine
   (:mod:`repro.sim.blocks`) runs every compiled instruction through it.
 """
 
@@ -49,7 +51,8 @@ def build_codec(arch):
 
 
 def generate_source(arch):
-    """Generate the standalone machine-layer module source for *arch*."""
+    """Generate the machine-layer module source for *arch*, the module
+    :func:`build_codec`'s codec runs."""
     from repro.spawn.codegen import generate_module_source
 
     return generate_module_source(load_description(arch))

@@ -8,7 +8,6 @@ the control behavior — the information the paper says spawn extracts
 from a description (section 4).
 """
 
-from repro.isa import bits
 from repro.spawn import rtl
 
 
@@ -38,8 +37,9 @@ class ResidualInfo:
 class Analyzer:
     """Residual evaluation of an instruction's RTL for a concrete word."""
 
-    def __init__(self, description):
-        self.description = description
+    def __init__(self, description, field_extractors):
+        # field name -> function of a word: the generated accessors.
+        self.fields = field_extractors
         # Special state names -> pseudo register numbers (after bank R).
         base = 0
         self.bank_base = {}
@@ -58,12 +58,6 @@ class Analyzer:
         )
 
     # ------------------------------------------------------------------
-    def field_value(self, field_name, word):
-        field = self.description.fields[field_name]
-        if field.signed:
-            return bits.extract_signed(word, field.lo, field.hi)
-        return bits.extract(word, field.lo, field.hi)
-
     def analyze(self, inst_def, word):
         return self.effects(inst_def.semantics, word)
 
@@ -76,13 +70,14 @@ class Analyzer:
         return info
 
     # ------------------------------------------------------------------
-    def const_eval(self, node, word):
-        """Evaluate an expression using only field values; None if it
-        depends on runtime state."""
+    def const_eval(self, node, word, pc=None):
+        """Evaluate an expression from *word*'s field values and, when
+        given, the instruction's *pc*; None if it depends on other
+        run-time state."""
         if isinstance(node, rtl.Const):
             return node.value
         if isinstance(node, rtl.FieldRef):
-            return self.field_value(node.name, word)
+            return self.fields[node.name](word)
         if isinstance(node, rtl.RegRead):
             index = self.const_eval(node.index, word)
             if index is not None:
@@ -91,22 +86,32 @@ class Analyzer:
                     return 0
             return None
         if isinstance(node, rtl.BinOp):
-            left = self.const_eval(node.left, word)
-            right = self.const_eval(node.right, word)
+            left = self.const_eval(node.left, word, pc)
+            right = self.const_eval(node.right, word, pc)
             if left is None or right is None:
                 return None
             return _binop(node.op, left, right)
         if isinstance(node, rtl.UnOp):
-            operand = self.const_eval(node.operand, word)
+            operand = self.const_eval(node.operand, word, pc)
             if operand is None:
                 return None
             return -operand if node.op == "-" else ~operand
         if isinstance(node, rtl.CondExpr):
-            cond = self.const_eval(node.cond, word)
+            cond = self.const_eval(node.cond, word, pc)
             if cond is None:
                 return None
-            return self.const_eval(node.then if cond else node.other, word)
+            return self.const_eval(node.then if cond else node.other, word,
+                                   pc)
+        if isinstance(node, rtl.SpecialRead) and node.name == "pc":
+            return pc
         return None
+
+    def fields_read(self, node, word):
+        """The fields expression *node* reads at *word*, with their
+        values."""
+        info = ResidualInfo()
+        self._note_fields(node, word, info)
+        return info.fields_used
 
     # ------------------------------------------------------------------
     def _resolve_reg(self, node, word):
@@ -118,7 +123,7 @@ class Analyzer:
     def _note_fields(self, node, word, info):
         """Record the instruction fields an expression mentions."""
         if isinstance(node, rtl.FieldRef):
-            info.fields_used[node.name] = self.field_value(node.name, word)
+            info.fields_used[node.name] = self.fields[node.name](word)
         elif isinstance(node, rtl.BinOp):
             self._note_fields(node.left, word, info)
             self._note_fields(node.right, word, info)

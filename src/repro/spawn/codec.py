@@ -1,7 +1,11 @@
 """A MachineCodec generated from a spawn description.
 
-Drop-in equivalent of the handwritten codecs: decode, encode, control
-targets, and displacement re-encoding all derive from the description.
+Drop-in equivalent of the handwritten codecs.  It runs the module
+:mod:`repro.spawn.codegen` generates from the description, which is
+its only pattern table, field decoder and encoder set.  Classification
+comes from residual evaluation of the instruction's RTL
+(:mod:`repro.spawn.analyze`), and direct targets are the RTL's target
+expression evaluated by :meth:`~repro.spawn.analyze.Analyzer.const_eval`.
 Conventions (jmpl overloads, syscall register effects, branch-name
 suffixes) come from :mod:`repro.spawn.refine` — the analog of the
 paper's annotated template file (Figure 6).
@@ -16,17 +20,8 @@ from repro.isa.base import (
     SpanError,
 )
 from repro.spawn.analyze import Analyzer
+from repro.spawn.codegen import generate_module_source
 from repro.spawn.refine import refine_decoded
-
-
-def _pattern_mask_value(description, inst_def):
-    mask = 0
-    value = 0
-    for field_name, field_value in inst_def.constraints.items():
-        field = description.fields[field_name]
-        mask |= bits.mask(field.width) << field.lo
-        value |= (field_value & bits.mask(field.width)) << field.lo
-    return mask, value
 
 
 def _register_set(description):
@@ -48,19 +43,21 @@ def _register_set(description):
 
 
 class SpawnCodec(MachineCodec):
-    """Codec synthesized from a machine description."""
+    """Codec synthesized from a machine description; ``source`` is the
+    generated module it runs."""
 
     def __init__(self, description):
         super().__init__()
         self.description = description
         self.arch = description.arch
-        self.analyzer = Analyzer(description)
+        self.source = generate_module_source(description)
+        module = {}
+        exec(compile(self.source, "generated_%s.py" % self.arch, "exec"),
+             module)
+        self._decode_name = module["decode"]
+        self._encoders = module["ENCODERS"]
+        self.analyzer = Analyzer(description, module["FIELD_EXTRACTORS"])
         self.regs = _register_set(description)
-        self._patterns = []
-        for name in description.order:
-            inst_def = description.instructions[name]
-            mask, value = _pattern_mask_value(description, inst_def)
-            self._patterns.append((mask, value, inst_def))
 
     # ------------------------------------------------------------------
     @property
@@ -70,10 +67,8 @@ class SpawnCodec(MachineCodec):
         return 0
 
     def match(self, word):
-        for mask, value, inst_def in self._patterns:
-            if word & mask == value:
-                return inst_def
-        return None
+        """The description's instruction *word* encodes, or None."""
+        return self.description.instructions.get(self._decode_name(word))
 
     def _decode_uncached(self, word):
         inst_def = self.match(word)
@@ -122,36 +117,19 @@ class SpawnCodec(MachineCodec):
 
     # ------------------------------------------------------------------
     def encode(self, name, **field_args):
-        description = self.description
-        inst_def = description.instructions.get(name)
-        if inst_def is None:
+        encoder = self._encoders.get(name)
+        if encoder is None:
             # Convention aliases like "bne,a" resolve through refine's
             # inverse: strip the suffix and set the annul field.
             if self.arch == "sparc" and name.endswith(",a"):
-                field_args = dict(field_args)
                 field_args["aflag"] = 1
                 return self.encode(name[:-2], **field_args)
             raise ValueError("unknown instruction %r" % name)
-        mask, value = _pattern_mask_value(description, inst_def)
-        word = value
-        field_args = dict(field_args)
-        for trigger, (other, implied_value) in description.implies.items():
-            if trigger in field_args and other not in field_args \
-                    and other in description.fields:
-                field_args[other] = implied_value
-        for field_name, field_value in field_args.items():
-            field = description.fields.get(field_name)
-            if field is None:
-                raise ValueError("unknown field %r" % field_name)
-            if field.signed:
-                if not bits.fits_signed(field_value, field.width):
-                    raise SpanError("field %s value %d out of range"
-                                    % (field_name, field_value))
-            word = bits.insert(word, field.lo, field.hi, field_value)
-        return bits.to_u32(word)
+        return encoder(**field_args)
 
     # ------------------------------------------------------------------
     def _npc_expr(self, word):
+        """The target expression of *word*'s direct transfer, or None."""
         inst_def = self.match(word)
         if inst_def is None:
             return None
@@ -160,114 +138,49 @@ class SpawnCodec(MachineCodec):
             return None
         return info.npc_exprs[0][0]
 
-    def _eval_target(self, expr, word, pc):
-        """Numeric evaluation of a direct-target expression."""
-        from repro.spawn import rtl
-
-        def evaluate(node):
-            if isinstance(node, rtl.Const):
-                return node.value
-            if isinstance(node, rtl.FieldRef):
-                return self.analyzer.field_value(node.name, word)
-            if isinstance(node, rtl.SpecialRead) and node.name == "pc":
-                return pc
-            if isinstance(node, rtl.RegRead):
-                index = self.analyzer.const_eval(node.index, word)
-                reg = self.analyzer.bank_base[node.bank] + index
-                if reg in self.analyzer.zero_regs:
-                    return 0
-                raise ValueError("register in direct target")
-            if isinstance(node, rtl.BinOp):
-                from repro.spawn.analyze import _binop
-
-                return _binop(node.op, evaluate(node.left),
-                              evaluate(node.right))
-            if isinstance(node, rtl.UnOp):
-                value = evaluate(node.operand)
-                return -value if node.op == "-" else ~value
-            raise ValueError("unsupported target expression %r" % node)
-
-        return bits.to_u32(evaluate(expr))
+    def _target(self, expr, word, pc):
+        value = self.analyzer.const_eval(expr, word, pc)
+        return None if value is None else bits.to_u32(value)
 
     def control_target(self, inst, pc):
         if inst.category not in (Category.BRANCH, Category.JUMP,
                                  Category.CALL):
             return None
         expr = self._npc_expr(inst.word)
-        if expr is None:
-            return None
-        try:
-            return self._eval_target(expr, inst.word, pc)
-        except ValueError:
-            return None
+        return None if expr is None else self._target(expr, inst.word, pc)
 
     def with_control_target(self, word, pc, target):
         """Re-encode the displacement field to reach *target*.
 
-        Solved generically: evaluating the target expression at two
-        displacement values yields the (affine) scale, inverting the
-        encoding without architecture-specific code.
+        Solved generically: the target expression evaluated at two
+        values of a field it reads yields the field's (affine) scale,
+        inverting the encoding without architecture-specific code.
         """
-        inst_def = self.match(word)
-        if inst_def is None:
-            raise ValueError("cannot retarget undecodable word")
         expr = self._npc_expr(word)
         if expr is None:
-            raise ValueError("instruction %s has no direct target"
-                             % inst_def.name)
-        # Which field feeds the target?  Try every signed/unsigned field
-        # the expression mentions.
-        from repro.spawn import rtl
-
-        fields = []
-
-        def collect(node):
-            if isinstance(node, rtl.FieldRef):
-                fields.append(node.name)
-            elif isinstance(node, rtl.BinOp):
-                collect(node.left)
-                collect(node.right)
-            elif isinstance(node, rtl.UnOp):
-                collect(node.operand)
-
-        collect(expr)
-        for field_name in fields:
-            field = self.description.fields[field_name]
-            base_word = bits.insert(word, field.lo, field.hi, 0)
-            t0 = self._eval_target(self._npc_expr(base_word) or expr,
-                                   base_word, pc)
-            one_word = bits.insert(word, field.lo, field.hi, 1)
-            t1 = self._eval_target(self._npc_expr(one_word) or expr,
-                                   one_word, pc)
-            scale = bits.to_s32(t1 - t0)
-            if scale == 0:
+            raise ValueError("0x%08x has no direct target" % word)
+        target = bits.to_u32(target)
+        for name in self.analyzer.fields_read(expr, word):
+            field = self.description.fields[name]
+            t0 = self._target(expr, bits.insert(word, field.lo, field.hi, 0),
+                              pc)
+            t1 = self._target(expr, bits.insert(word, field.lo, field.hi, 1),
+                              pc)
+            if t0 is None or t1 is None or t0 == t1:
                 continue
+            scale = bits.to_s32(t1 - t0)
             delta = bits.to_s32(target - t0)
-            if delta % scale:
-                raise SpanError("misaligned target")
-            field_value = delta // scale
-            if field.signed:
-                if not bits.fits_signed(field_value, field.width):
-                    raise SpanError("displacement out of span")
-            elif not bits.fits_unsigned(field_value, field.width):
-                raise SpanError("displacement out of span")
-            result = bits.insert(word, field.lo, field.hi, field_value)
-            check = self._eval_target(self._npc_expr(result), result, pc)
-            if check == bits.to_u32(target):
+            value = delta // scale
+            fits = bits.fits_signed if field.signed else bits.fits_unsigned
+            if delta % scale or not fits(value, field.width):
+                continue
+            result = bits.insert(word, field.lo, field.hi, value)
+            if self._target(expr, result, pc) == target:
                 return result
-        raise SpanError("no displacement field reaches target")
+        raise SpanError("no field of 0x%08x reaches 0x%x from 0x%x"
+                        % (word, target, pc))
 
     # ------------------------------------------------------------------
-    def invert_branch(self, word):
-        from repro.isa import get_codec
-
-        return get_codec(self.arch).invert_branch(word)
-
-    def clear_annul(self, word):
-        from repro.isa import get_codec
-
-        return get_codec(self.arch).clear_annul(word)
-
     def disassemble(self, word, pc=None):
         inst = self.decode(word)
         if inst.category is Category.INVALID:

@@ -1,238 +1,124 @@
-"""Generate standalone Python source for a machine's low-level layer.
+"""Generate the Python module that is spawn's machine layer.
 
 The paper reports spawn expanding a 145-line SPARC description into a
-6,178-line generated file.  This generator emits a self-contained module
-with field accessors, a decode dispatch chain, encode functions,
-classification tables, and per-instruction semantics functions compiled
-from the RTL.  The conciseness experiment (E5) compares description,
-generated, and handwritten line counts.
+6,178-line generated file.  This generator emits the module the spawn
+codec (:class:`~repro.spawn.codec.SpawnCodec`) executes: field
+accessors and inserters, a decode dispatch chain, and one encoder per
+instruction.  Executable semantics are not in it: the block engine
+compiles them per block at run time from the same RTL
+(:mod:`repro.spawn.compiler`).  The conciseness experiment (E5)
+compares description, generated, and handwritten line counts.
 """
-
-from repro.isa.base import Category
-from repro.spawn import rtl
-from repro.spawn.analyze import Analyzer
-from repro.spawn.codec import SpawnCodec, _pattern_mask_value
 
 _HEADER = '''\
 """GENERATED by repro.spawn.codegen from the %(arch)s machine description.
 
 Do not edit: regenerate with `python -m repro.spawn.codegen %(arch)s`.
-This module is self-contained: field accessors, decode, encode,
-classification, and executable semantics for every instruction.
+The spawn codec runs this module: field accessors and inserters,
+decode, and one encoder per instruction.
 """
 
-M32 = 0xFFFFFFFF
-
-
-def _sext(value, width):
-    sign = 1 << (width - 1)
-    return (value & (sign - 1)) - (value & sign)
-
-
-def _sra(a, k):
-    a &= M32
-    return ((a - 0x100000000) if a & 0x80000000 else a) >> k
+from repro.isa.base import SpanError
 '''
 
 
-def _expr_source(node, analyzer):
-    """Compile an RTL expression to Python source over (state, fields)."""
-    if isinstance(node, rtl.Const):
-        return str(node.value)
-    if isinstance(node, rtl.FieldRef):
-        return "fields[%r]" % node.name
-    if isinstance(node, rtl.RegRead):
-        index = _expr_source(node.index, analyzer)
-        base = analyzer.bank_base[node.bank]
-        return "state.reg(%d + (%s))" % (base, index)
-    if isinstance(node, rtl.SpecialRead):
-        return "state.%s" % node.name
-    if isinstance(node, rtl.MemRead):
-        return "state.load(%s, %d, %s)" % (
-            _expr_source(node.addr, analyzer), node.width, node.signed)
-    if isinstance(node, rtl.BinOp):
-        op = {"==": "==", "!=": "!="}.get(node.op, node.op)
-        return "((%s) %s (%s))" % (_expr_source(node.left, analyzer), op,
-                                   _expr_source(node.right, analyzer))
-    if isinstance(node, rtl.UnOp):
-        return "(%s(%s))" % (node.op, _expr_source(node.operand, analyzer))
-    if isinstance(node, rtl.CondExpr):
-        return "((%s) if (%s) else (%s))" % (
-            _expr_source(node.then, analyzer),
-            _expr_source(node.cond, analyzer),
-            _expr_source(node.other, analyzer))
-    if isinstance(node, rtl.CCTest):
-        return "state.cc_test(%r)" % node.cond
-    if isinstance(node, rtl.Builtin):
-        args = ", ".join(_expr_source(a, analyzer) for a in node.args)
-        if node.name == "sra":
-            return "_sra(%s)" % args
-        return "state.%s(%s)" % (node.name, args)
-    raise ValueError("cannot compile %r" % node)
+def _pattern_mask_value(description, inst_def):
+    """(mask, value) of the bits *inst_def*'s encoding pattern fixes."""
+    mask = 0
+    value = 0
+    for field_name, field_value in inst_def.constraints.items():
+        field = description.fields[field_name]
+        field_mask = (1 << field.width) - 1
+        mask |= field_mask << field.lo
+        value |= (field_value & field_mask) << field.lo
+    return mask, value
 
 
-def _stmt_source(stmt, analyzer, indent):
-    pad = "    " * indent
-    lines = []
-    if isinstance(stmt, (rtl.Seq, rtl.Par)):
-        for child in stmt.statements:
-            lines.extend(_stmt_source(child, analyzer, indent))
-        return lines
-    if isinstance(stmt, rtl.Assign):
-        target = stmt.target
-        if isinstance(target, rtl.SpecialRead) and target.name == "npc":
-            lines.append(pad + "state.set_npc(%s)"
-                         % _expr_source(stmt.value, analyzer))
-            return lines
-        if isinstance(target, rtl.SpecialRead) and target.name == "icc":
-            lines.append(pad + "state.set_icc(%s)"
-                         % _expr_source(stmt.value, analyzer))
-            return lines
-        if isinstance(target, rtl.SpecialRead):
-            lines.append(pad + "state.%s = (%s) & M32"
-                         % (target.name,
-                            _expr_source(stmt.value, analyzer)))
-            return lines
-        if isinstance(target, rtl.RegRead):
-            base = analyzer.bank_base[target.bank]
-            lines.append(pad + "state.set_reg(%d + (%s), %s)" % (
-                base, _expr_source(target.index, analyzer),
-                _expr_source(stmt.value, analyzer)))
-            return lines
-        if isinstance(target, rtl.MemRead):
-            lines.append(pad + "state.store(%s, %d, %s)" % (
-                _expr_source(target.addr, analyzer), target.width,
-                _expr_source(stmt.value, analyzer)))
-            return lines
-    if isinstance(stmt, rtl.IfStmt):
-        lines.append(pad + "if %s:" % _expr_source(stmt.cond, analyzer))
-        lines.extend(_stmt_source(stmt.then, analyzer, indent + 1))
-        if stmt.other is not None:
-            lines.append(pad + "else:")
-            lines.extend(_stmt_source(stmt.other, analyzer, indent + 1))
-        return lines
-    if isinstance(stmt, rtl.Annul):
-        lines.append(pad + "state.annul()")
-        return lines
-    if isinstance(stmt, rtl.Trap):
-        lines.append(pad + "state.trap(%s)"
-                     % _expr_source(stmt.number, analyzer))
-        return lines
-    raise ValueError("cannot compile statement %r" % stmt)
+def _shifted(source, lo):
+    return "(%s) << %d" % (source, lo) if lo else source
+
+
+def _field_source(field):
+    """Accessor and inserter of one field, with its bits as constants."""
+    mask = (1 << field.width) - 1
+    sign = 1 << (field.width - 1)
+    bits = "%d:%d" % (field.lo, field.hi)
+    value = "(word >> %d)" % field.lo if field.lo else "word"
+    out = ["", "def field_%s(word):" % field.name,
+           '    """Bits %s%s."""' % (bits, ", signed" if field.signed else "")]
+    if field.signed:
+        out.append("    return (%s & 0x%X ^ 0x%X) - 0x%X"
+                   % (value, mask, sign, sign))
+    else:
+        out.append("    return %s & 0x%X" % (value, mask))
+    out += ["", "def put_%s(word, value):" % field.name,
+            '    """*word* with bits %s set to *value*."""' % bits]
+    if field.signed:
+        out += ["    if not -0x%X <= value <= 0x%X:" % (sign, sign - 1),
+                "        raise SpanError('field %s value %%d out of range'"
+                " %% value)" % field.name]
+    out.append("    return word & 0x%08X | %s" % (
+        ~(mask << field.lo) & 0xFFFFFFFF,
+        _shifted("value & 0x%X" % mask, field.lo)))
+    return out
+
+
+def _encoder_source(description, name):
+    """One instruction's encoder: its pattern's bits, the description's
+    implied fields, then the given fields."""
+    inst_def = description.instructions[name]
+    _, value = _pattern_mask_value(description, inst_def)
+    pattern = " ".join("%s=%d" % item for item in inst_def.constraints.items())
+    out = ["", "def encode_%s(**fields):" % name,
+           '    """%s: %s."""' % (name, pattern),
+           "    word = 0x%08X" % value]
+    for trigger, (other, implied) in description.implies.items():
+        if other in description.fields:
+            out += ["    if %r in fields and %r not in fields:"
+                    % (trigger, other),
+                    "        fields[%r] = %d" % (other, implied)]
+    out += ["    for name, value in fields.items():",
+            "        if name not in FIELD_INSERTERS:",
+            "            raise ValueError('unknown field %r' % name)",
+            "        word = FIELD_INSERTERS[name](word, value)",
+            "    return word"]
+    return out
+
+
+def _table(name, entries):
+    return ["", "", "%s = {" % name] \
+        + ["    %r: %s," % entry for entry in entries] + ["}"]
 
 
 def generate_module_source(description):
     """Emit the generated machine-layer module for *description*."""
-    analyzer = Analyzer(description)
-    codec = SpawnCodec(description)
+    fields = description.fields
     out = [_HEADER % {"arch": description.arch}, ""]
 
-    # Field accessors.
-    out.append("# --- instruction field accessors ---")
-    for field in description.fields.values():
-        out.append("")
-        out.append("def field_%s(word):" % field.name)
-        out.append('    """Bits %d:%d%s."""' % (
-            field.lo, field.hi, ", signed" if field.signed else ""))
-        body = "(word >> %d) & 0x%X" % (
-            field.lo, (1 << field.width) - 1)
-        if field.signed:
-            out.append("    return _sext(%s, %d)" % (body, field.width))
-        else:
-            out.append("    return %s" % body)
-    out.append("")
-    out.append("")
-    out.append("FIELD_EXTRACTORS = {")
-    for field in description.fields.values():
-        out.append("    %r: field_%s," % (field.name, field.name))
-    out.append("}")
-    out.append("")
+    out.append("# --- instruction field accessors and inserters ---")
+    for field in fields.values():
+        out.extend(_field_source(field))
+    out.extend(_table("FIELD_EXTRACTORS",
+                      [(name, "field_" + name) for name in fields]))
+    out.extend(_table("FIELD_INSERTERS",
+                      [(name, "put_" + name) for name in fields]))
 
-    # Decode chain.
-    out.append("# --- decode dispatch (mask/match per instruction) ---")
-    out.append("PATTERNS = (")
+    out += ["", "", "# --- decode dispatch (mask/match per instruction) ---",
+            "", "def decode(word):",
+            '    """Name of the instruction encoded by *word*, or None."""']
     for name in description.order:
-        inst_def = description.instructions[name]
-        mask, value = _pattern_mask_value(description, inst_def)
-        out.append("    (0x%08X, 0x%08X, %r)," % (mask, value, name))
-    out.append(")")
-    out.append("")
-    out.append("")
-    out.append("def decode(word):")
-    out.append('    """Name of the instruction encoded by *word*, or None.')
-    out.append('    """')
-    for name in description.order:
-        inst_def = description.instructions[name]
-        mask, value = _pattern_mask_value(description, inst_def)
-        out.append("    if word & 0x%08X == 0x%08X:" % (mask, value))
-        out.append("        return %r" % name)
+        mask, value = _pattern_mask_value(description,
+                                         description.instructions[name])
+        out += ["    if word & 0x%08X == 0x%08X:" % (mask, value),
+                "        return %r" % name]
     out.append("    return None")
-    out.append("")
 
-    # Classification and per-instruction metadata (for a sample word of
-    # each instruction: the canonical all-zero free fields).
-    out.append("")
-    out.append("# --- classification of each instruction's base form ---")
-    out.append("CATEGORY = {")
+    out += ["", "", "# --- encode functions ---"]
     for name in description.order:
-        inst_def = description.instructions[name]
-        _, value = _pattern_mask_value(description, inst_def)
-        decoded = codec.decode(value)
-        out.append("    %r: %r," % (name, decoded.category.value))
-    out.append("}")
-    out.append("")
-
-    # Encode functions.
-    out.append("")
-    out.append("# --- encode functions ---")
-    for name in description.order:
-        inst_def = description.instructions[name]
-        _, value = _pattern_mask_value(description, inst_def)
-        safe = name.replace(",", "_")
-        out.append("")
-        out.append("def encode_%s(**fields):" % safe)
-        out.append("    word = 0x%08X" % value)
-        for trigger, (other, implied) in description.implies.items():
-            out.append("    if %r in fields and %r not in fields:"
-                       % (trigger, other))
-            out.append("        fields[%r] = %d" % (other, implied))
-        out.append("    for name, value in fields.items():")
-        out.append("        lo, width = FIELD_BITS[name]")
-        out.append("        word = (word & ~(((1 << width) - 1) << lo)"
-                   " & 0xFFFFFFFF) | ((value & ((1 << width) - 1)) << lo)")
-        out.append("    return word")
-    out.append("")
-    out.append("")
-    out.append("FIELD_BITS = {")
-    for field in description.fields.values():
-        out.append("    %r: (%d, %d)," % (field.name, field.lo, field.width))
-    out.append("}")
-    out.append("")
-    out.append("")
-    out.append("ENCODERS = {")
-    for name in description.order:
-        out.append("    %r: encode_%s," % (name, name.replace(",", "_")))
-    out.append("}")
-    out.append("")
-
-    # Semantics.
-    out.append("")
-    out.append("# --- executable semantics (RTL compiled to Python) ---")
-    for name in description.order:
-        inst_def = description.instructions[name]
-        safe = name.replace(",", "_")
-        out.append("")
-        out.append("def exec_%s(state, fields):" % safe)
-        out.append('    """Semantics of %s from the machine description.'
-                   '"""' % name)
-        body = _stmt_source(inst_def.semantics, analyzer, 1)
-        out.extend(body if body else ["    pass"])
-    out.append("")
-    out.append("")
-    out.append("SEMANTICS = {")
-    for name in description.order:
-        out.append("    %r: exec_%s," % (name, name.replace(",", "_")))
-    out.append("}")
+        out.extend(_encoder_source(description, name))
+    out.extend(_table("ENCODERS",
+                      [(name, "encode_" + name)
+                       for name in description.order]))
     out.append("")
     return "\n".join(out)
 

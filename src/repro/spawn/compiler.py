@@ -184,11 +184,10 @@ class RTLCompiler(object):
         except KeyError:
             pass
         inst_def = self.codec.match(word)
-        analyzer = self.analyzer
         described = _DESCRIBED[key] = None if inst_def is None else (
             inst_def.semantics,
-            {name: analyzer.field_value(name, word)
-             for name in analyzer.description.fields})
+            {name: extract(word)
+             for name, extract in self.analyzer.fields.items()})
         return described
 
     # -- value helpers -------------------------------------------------

@@ -20,7 +20,7 @@ import pytest
 from repro.obs import metrics
 from repro.serve import EditServer, ServeConfig
 from repro.serve.client import ServeClient, ServeError, wait_for_daemon
-from repro.serve import protocol
+from repro.serve import daemon, protocol
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 FAULTS = os.path.join(os.path.dirname(__file__), "faults.py")
@@ -295,8 +295,10 @@ def test_transient_failures_retry_with_backoff(make_server, fault_ops):
 # ----------------------------------------------------------------------
 
 def test_worker_death_restarts_then_degrades_to_serial(make_server,
-                                                       fault_ops):
-    server = make_server(jobs=1, restarts=1)
+                                                       fault_ops,
+                                                       monkeypatch):
+    monkeypatch.setattr(daemon, "RESTARTS", 1)
+    server = make_server(jobs=1)
     # Each death kills the worker: the first is replaced from the
     # restart budget, the second exhausts it and flips the daemon into
     # serial fallback mode.  The request a worker died on is answered

@@ -185,6 +185,62 @@ def test_rtl_corner_equivalence(name, monkeypatch):
 # Self-modifying text invalidates compiled blocks
 
 
+def _patched_after_compile(store, arch):
+    """A loop whose first instruction adds 1, until a store patches it
+    into the donor's add of 2.  The loop runs twice, so its block is
+    compiled and cached; then *store*, which runs once and so takes
+    the single-step path (a pc compiles on its second visit), patches
+    the text, and the third pass must see the new word: it prints 4,
+    where an engine that kept the stale block would print 3.  In every
+    *store* neither address operand alone points into the text."""
+    if arch == "sparc":
+        return sparc_image("""
+        set donor, %%l3
+        ld [%%l3], %%l2
+        set patch + 0x800, %%l1
+        set -0x800, %%l4
+        clr %%l7
+        mov 3, %%l0
+    loop:
+    patch:
+        add %%l7, 1, %%l7
+        subcc %%l0, 1, %%l0
+        be finish
+        nop
+        cmp %%l0, 1
+        bne loop
+        nop
+        %s
+        b loop
+        nop
+    donor:
+        add %%l7, 2, %%l7
+    finish:
+    """ % store)
+    return mips_image("""
+        la $t3, donor
+        lw $t2, 0($t3)
+        la $t1, patch + 0x7000
+        li $s7, 0
+        li $t0, 3
+    loop:
+    patch:
+        addiu $s7, $s7, 1
+        addiu $t0, $t0, -1
+        beqz $t0, finish
+        nop
+        li $t4, 1
+        bne $t0, $t4, loop
+        nop
+        %s
+        b loop
+        nop
+    donor:
+        addiu $s7, $s7, 2
+    finish:
+    """ % store)
+
+
 def test_block_invalidation_on_text_write():
     # The loop body patches its own first instruction: iteration one
     # executes `add %l7, 1` then overwrites it with the donor word
@@ -220,6 +276,20 @@ def test_block_invalidation_on_text_write():
     assert simulator.output == "3"
     assert simulator.cpu.text_version > 0
     assert simulator.cpu.block_invalidations >= 1
+
+    # A single-stepped store into text invalidates a block compiled
+    # before it, whatever its addressing form and ISA.
+    for store, arch in (("st %l2, [%l1 - 0x800]", "sparc"),
+                        ("st %l2, [%l1 + %l4]", "sparc"),
+                        ("sw $t2, -0x7000($t1)", "mips")):
+        image = _patched_after_compile(store, arch)
+        baseline = observe(image, "handwritten")
+        assert baseline[1] == "4", store  # 1 + 1 + 2
+        assert observe(image, "block") == baseline, store
+        simulator = Simulator(image, engine="block")
+        simulator.run()
+        assert simulator.output == "4", store
+        assert simulator.cpu.block_invalidations >= 1, store
 
 
 # ----------------------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.isa import bits, get_codec
-from repro.isa.base import Category
+from repro.isa.base import Category, SpanError
 from repro.spawn import (
     SpawnParseError,
     build_codec,
@@ -295,21 +295,52 @@ def test_generated_source_is_importable_and_consistent(arch):
     namespace = {}
     exec(compile(source, "generated_%s.py" % arch, "exec"), namespace)
     spawn_codec = build_codec(arch)
-    hand = get_codec(arch)
-    # decode() names agree with the codec on canonical encodings.
+    # The codec runs exactly this module.
+    assert spawn_codec.source == source
     desc = load_description(arch)
-    for name in list(desc.instructions)[:20]:
+    rng = random.Random(11)
+    for name in desc.instructions:
+        # decode() names every instruction at its canonical encoding and
+        # at random words of its pattern.
         inst_def = desc.instructions[name]
         word = 0
         for field_name, value in inst_def.constraints.items():
             field = desc.fields[field_name]
             word = bits.insert(word, field.lo, field.hi, value)
         assert namespace["decode"](word) == name
-    # Field extractors match the analyzer.
-    for field in list(desc.fields.values())[:6]:
-        extractor = namespace["FIELD_EXTRACTORS"][field.name]
-        assert extractor(0xFFFFFFFF) == \
-            spawn_codec.analyzer.field_value(field.name, 0xFFFFFFFF)
+        for _ in range(5):
+            word = _random_word_for(desc, name, rng)
+            assert spawn_codec.match(word).name == name, (name, hex(word))
+    # Every field accessor extracts its bits; every inserter puts them
+    # back.
+    for field in desc.fields.values():
+        extract = namespace["FIELD_EXTRACTORS"][field.name]
+        insert = namespace["FIELD_INSERTERS"][field.name]
+        for word in [0, 0xFFFFFFFF] + [rng.getrandbits(32)
+                                       for _ in range(20)]:
+            value = (bits.extract_signed if field.signed
+                     else bits.extract)(word, field.lo, field.hi)
+            assert extract(word) == value, (field.name, hex(word))
+            assert insert(0, value) == bits.insert(0, field.lo, field.hi,
+                                                   value)
+            assert insert(word, value) == word
+
+
+@pytest.mark.parametrize("arch", ["sparc", "mips"])
+def test_spawn_encode_errors(arch):
+    spawn_codec = build_codec(arch)
+    name, field = ("add", "simm13") if arch == "sparc" \
+        else ("addiu", "imm16")
+    width = spawn_codec.description.fields[field].width
+    assert spawn_codec.encode(name, **{field: -(1 << (width - 1))})
+    with pytest.raises(SpanError):
+        spawn_codec.encode(name, **{field: 1 << (width - 1)})
+    with pytest.raises(SpanError):
+        spawn_codec.encode(name, **{field: -(1 << (width - 1)) - 1})
+    with pytest.raises(ValueError):
+        spawn_codec.encode(name, no_such_field=1)
+    with pytest.raises(ValueError):
+        spawn_codec.encode("no_such_instruction")
 
 
 def test_generated_source_much_longer_than_description():
