@@ -9,7 +9,7 @@ validation against the trace-driven model.
 
 import pytest
 
-from conftest import report
+from conftest import record, report
 from repro.sim import run_image
 from repro.tools.active_memory import ActiveMemory, trace_driven_misses
 from repro.workloads import build_image
@@ -43,6 +43,8 @@ def test_active_memory_slowdowns(benchmark):
                      trace_cache.misses, trace_cache.accesses))
     report("E7: Active Memory cache simulation by editing", rows,
            "2-7x slowdown; miss counts identical to trace-driven model")
+    for name in WORKLOADS:
+        record("e7.%s.slowdown" % name, results[name][0], "x", "lower")
     for name, (slowdown, cache, trace_cache) in results.items():
         assert 1.5 < slowdown < 7.0, name
         assert cache.misses == trace_cache.misses, name

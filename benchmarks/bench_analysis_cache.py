@@ -24,6 +24,7 @@ from repro.workloads import build_image
 
 WORKLOAD = "interp"
 TARGET_SPEEDUP = 2.0
+ROUNDS = 7
 
 
 def _analyze(image):
@@ -36,33 +37,38 @@ def _analyze(image):
 
 
 def test_analysis_cache_warm_vs_cold(tmp_path, monkeypatch):
-    monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     monkeypatch.setenv("REPRO_CACHE", "on")
+    warm_dir = str(tmp_path / "warm")
+    monkeypatch.setenv("REPRO_CACHE_DIR", warm_dir)
+    _analyze(build_image(WORKLOAD))  # fill the cache the warm runs read
+    (blob,) = glob.glob(os.path.join(warm_dir, "*.eela"))
+    blob_bytes = os.path.getsize(blob)
 
     # Images are built outside the timed region (compilation is not the
     # pipeline under test); each run gets a fresh Image object so no
-    # in-memory state carries over — only the on-disk cache does.
-    images = [build_image(WORKLOAD) for _ in range(5)]
-
-    started = time.perf_counter()
-    _analyze(images[0])
-    cold = time.perf_counter() - started
-
-    (blob,) = glob.glob(os.path.join(str(tmp_path), "*.eela"))
-    blob_bytes = os.path.getsize(blob)
-
-    warm_times = []
-    for image in images[1:4]:
-        metrics.reset()
-        started = time.perf_counter()
-        exe = _analyze(image)
-        warm_times.append(time.perf_counter() - started)
-        counters = metrics.snapshot()["counters"]
-        assert counters.get("cache.hits") == 1, counters
-        assert counters.get("cfg.builds", 0) == 0, counters
-        assert counters.get("cache.restored_cfgs") \
-            == len(exe.all_routines()), counters
-    warm = min(warm_times)
+    # in-memory state carries over — only the on-disk cache does.  Cold
+    # runs (an empty cache directory each) and warm runs take turns, so
+    # that the host's load falls on both alike; each one's fastest
+    # round counts.
+    best = {"cold": float("inf"), "warm": float("inf")}
+    facts = {}
+    for index in range(ROUNDS):
+        for path, directory in (("cold", str(tmp_path / ("cold-%d" % index))),
+                                ("warm", warm_dir)):
+            image = build_image(WORKLOAD)
+            monkeypatch.setenv("REPRO_CACHE_DIR", directory)
+            metrics.reset()
+            started = time.perf_counter()
+            exe = _analyze(image)
+            best[path] = min(best[path], time.perf_counter() - started)
+            counters = metrics.snapshot()["counters"]
+            facts[path] = counters.get("facts.derived", 0)
+            if path == "warm":
+                assert counters.get("cache.hits") == 1, counters
+                assert counters.get("cfg.builds", 0) == 0, counters
+                assert counters.get("cache.restored_cfgs") \
+                    == len(exe.all_routines()), counters
+    cold, warm = best["cold"], best["warm"]
 
     speedup = cold / warm if warm else float("inf")
     rows = [
@@ -73,10 +79,16 @@ def test_analysis_cache_warm_vs_cold(tmp_path, monkeypatch):
     report("Analysis cache: warm vs cold on %s" % WORKLOAD, rows,
            paper_note="EEL reads an executable once; edits are the "
                       "common operation (section 3)")
-    record("analysis_cache.%s.cold" % WORKLOAD, cold, "s")
-    record("analysis_cache.%s.warm" % WORKLOAD, warm, "s")
-    record("analysis_cache.%s.speedup" % WORKLOAD, speedup, "x")
-    record("analysis_cache.%s.blob_bytes" % WORKLOAD, blob_bytes, "bytes")
+    # Seconds move with the host's load from run to run; the facts each
+    # path derives do not.
+    record("analysis_cache.%s.cold_facts_derived" % WORKLOAD, facts["cold"],
+           "facts", "lower")
+    record("analysis_cache.%s.warm_facts_derived" % WORKLOAD, facts["warm"],
+           "facts", "lower")
+    record("analysis_cache.%s.interleaved_speedup" % WORKLOAD, speedup,
+           "x", "higher")
+    record("analysis_cache.%s.blob_bytes" % WORKLOAD, blob_bytes, "bytes",
+           "lower")
     assert speedup >= TARGET_SPEEDUP, (
         "warm restore only %.2fx faster than cold analysis" % speedup
     )

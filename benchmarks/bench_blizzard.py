@@ -8,7 +8,7 @@ optimization, fault behavior, and tool size.
 
 import inspect
 
-from conftest import report
+from conftest import record, report
 from repro.sim import run_image
 from repro.tools import blizzard
 from repro.tools.blizzard import (
@@ -51,6 +51,10 @@ def test_blizzard_access_control(benchmark):
     report("E8: Blizzard-S fine-grain access control", rows,
            "EEL version ~1,300 lines (vs 2,800 ad-hoc); faster test "
            "when condition codes are dead")
+    for name, (fast, slow) in stats.items():
+        record("e8.%s.slowdown" % name, fast, "x", "lower")
+        record("e8.%s.slowdown_saving_cc" % name, slow, "x", "lower")
+    record("e8.tool_lines", loc, "lines", "lower")
     for name, (fast, slow) in stats.items():
         assert fast <= slow, name  # liveness optimization never loses
 

@@ -74,10 +74,13 @@ def test_block_compile_speedup():
     ]
     report("block compile: warm %s run, best of 3" % WORKLOAD, rows,
            paper_note="generated execute layer amortizes decode (sec. 4)")
-    record("block_compile.%s.speedup" % WORKLOAD, speedup, "x")
+    # The speedup is gated below but not recorded: on a 2-vCPU VM it read
+    # 8.2-12.1x across runs of one commit, even timed interleaved.  The
+    # work the block engine saves is recorded as deterministic counts.
     record("block_compile.%s.insts_per_dispatch" % WORKLOAD,
-           insts_per_dispatch, "")
-    record("block_compile.%s.compiles" % WORKLOAD, cpu.block_compiles, "")
+           insts_per_dispatch, "insns", "higher")
+    record("block_compile.%s.compiles" % WORKLOAD, cpu.block_compiles,
+           "blocks", "lower")
 
     assert speedup >= MIN_SPEEDUP, (
         "block engine only %.2fx faster than handwritten on %s "

@@ -7,7 +7,7 @@ end-to-end, with counts validated against simulator ground truth.
 
 import inspect
 
-from conftest import report
+from conftest import record, report
 from repro.core import Executable
 from repro.sim import run_image
 from repro.tools import branch_count
@@ -35,18 +35,20 @@ def test_branch_count_tool(benchmark):
     loc = sum(1 for line in
               inspect.getsource(branch_count).splitlines()
               if line.strip() and not line.strip().startswith("#"))
+    slowdown = simulator.instructions_executed \
+        / baseline.instructions_executed
     rows = [
         ("metric", "value"),
         ("counted edges (nonzero)", len(nonzero)),
         ("total edge executions", total),
-        ("instrumented run / baseline", "%.2fx" %
-         (simulator.instructions_executed
-          / baseline.instructions_executed)),
+        ("instrumented run / baseline", "%.2fx" % slowdown),
         ("tool source lines", loc),
     ]
     report("E13: branch-counting tool (Figures 1-2), workload: %s"
            % WORKLOAD, rows,
            "a page of code against the EEL API implements the tool")
+    record("e13.%s.slowdown" % WORKLOAD, slowdown, "x", "lower")
+    record("e13.%s.tool_lines" % WORKLOAD, loc, "lines", "lower")
     assert nonzero
     assert total > 0
     # The tool is small — the point of the Figure 1 comparison.

@@ -7,7 +7,7 @@ normalized block count vs a leader-scan block count, broken down by
 block kind.
 """
 
-from conftest import report
+from conftest import record, report
 from repro.core import Executable
 from repro.tools.qpt_classic import ClassicProfiler
 from repro.workloads import build_image, program_names
@@ -50,6 +50,8 @@ def test_cfg_block_composition(benchmark):
     report("E6: CFG block composition across the corpus", rows,
            "26,912 EEL blocks vs 15,441 (12,774 delay, 920 entry/exit, "
            "1,942 surrogates)")
+    record("e6.corpus.leader_blocks", classic, "blocks", "lower")
+    record("e6.corpus.eel_blocks", eel_total, "blocks", "lower")
     # Shape: normalization roughly doubles the block count, and delay
     # blocks are the largest added category.
     assert eel_total > classic

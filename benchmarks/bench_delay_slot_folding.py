@@ -6,7 +6,7 @@ identity transform emits exactly the original instruction count thanks
 to re-folding, and an everything-edited transform pays the duplication.
 """
 
-from conftest import report
+from conftest import record, report
 from repro.core import Executable
 from repro.sim import run_image
 from repro.tools.common import CounterArray, counter_snippet
@@ -76,6 +76,14 @@ def test_delay_slot_refolding(benchmark):
     report("E10: delay-slot duplication and re-folding (workload: %s)"
            % WORKLOAD, rows,
            "unedited delay slots fold back; edited ones pay duplication")
+    for version, text_bytes, run in (
+            ("original", original_text, baseline),
+            ("identity", _edited_text_size(identity), identity_run),
+            ("edited", _edited_text_size(edited), edited_run)):
+        record("e10.%s.%s_text_bytes" % (WORKLOAD, version), text_bytes,
+               "bytes", "lower")
+        record("e10.%s.%s_insns" % (WORKLOAD, version),
+               run.instructions_executed, "insns", "lower")
     # Shape: re-folding keeps the identity transform the same dynamic
     # length as the original, and within a few % static size.
     assert identity_run.instructions_executed \

@@ -14,11 +14,13 @@ import time
 
 from conftest import record, report
 from repro.core import Executable
+from repro.obs import metrics
 from repro.workloads import build_image
 
 WORKLOAD = "interp"
 ROUTINE = "main"
 TARGET_SPEEDUP = 5.0
+ROUNDS = 7
 
 
 def test_incremental_single_routine_vs_full(tmp_path, monkeypatch):
@@ -29,24 +31,23 @@ def test_incremental_single_routine_vs_full(tmp_path, monkeypatch):
     exe = Executable(build_image(WORKLOAD)).read_contents()
     routines = [routine.name for routine in exe.all_routines()]
 
-    # Full re-analysis: every routine's facts dirty, one fixpoint run.
-    full_times = []
-    for _ in range(3):
-        for name in routines:
-            exe.invalidate_routine(name)
-        started = time.perf_counter()
-        exe.reanalyze()
-        full_times.append(time.perf_counter() - started)
-    full = min(full_times)
-
-    # Incremental: one routine dirty, dependents refreshed from facts.
-    single_times = []
-    for _ in range(5):
-        exe.invalidate_routine(ROUTINE)
-        started = time.perf_counter()
-        exe.reanalyze()
-        single_times.append(time.perf_counter() - started)
-    single = min(single_times)
+    # Full re-analysis (every routine's facts dirty) and incremental
+    # re-analysis (one routine dirty, dependents refreshed from facts)
+    # take turns, so that the host's load falls on both alike; each
+    # one's fastest round counts.
+    derived = metrics.counter("facts.derived")
+    best = {"full": float("inf"), "single": float("inf")}
+    facts = {}
+    for _ in range(ROUNDS):
+        for kind, dirty in (("full", routines), ("single", [ROUTINE])):
+            for name in dirty:
+                exe.invalidate_routine(name)
+            before = derived.value
+            started = time.perf_counter()
+            exe.reanalyze()
+            best[kind] = min(best[kind], time.perf_counter() - started)
+            facts[kind] = derived.value - before
+    full, single = best["full"], best["single"]
 
     speedup = full / single if single else float("inf")
     rows = [
@@ -59,9 +60,14 @@ def test_incremental_single_routine_vs_full(tmp_path, monkeypatch):
     report("Incremental re-analysis: %s" % WORKLOAD, rows,
            paper_note="EEL section 3.1 refinement is batch; the fact "
                       "store re-derives only what an edit touched")
-    record("incremental.%s.full_s" % WORKLOAD, full, "s")
-    record("incremental.%s.single_s" % WORKLOAD, single, "s")
-    record("incremental.%s.speedup" % WORKLOAD, speedup, "x")
+    # Seconds move with the host's load from run to run; the facts each
+    # re-analysis derives do not.
+    record("incremental.%s.full_facts_derived" % WORKLOAD, facts["full"],
+           "facts", "lower")
+    record("incremental.%s.single_facts_derived" % WORKLOAD,
+           facts["single"], "facts", "lower")
+    record("incremental.%s.interleaved_speedup" % WORKLOAD, speedup, "x",
+           "higher")
     assert speedup >= TARGET_SPEEDUP, (
         "single-routine re-analysis only %.2fx faster than full" % speedup
     )

@@ -4,7 +4,7 @@ Paper: allocating one EEL instruction per distinct machine word reduces
 allocated instructions by a factor of about four.
 """
 
-from conftest import report
+from conftest import record, report
 from repro.core import instruction as eel_instruction
 from repro.core.instruction import instruction_for
 from repro.isa import get_codec
@@ -36,4 +36,6 @@ def test_instruction_sharing(benchmark):
     ]
     report("E4: flyweight instruction allocation", rows,
            "sharing reduces allocated EEL instructions ~4x")
+    record("e4.corpus.shared_objects", allocated_shared, "objects", "lower")
+    record("e4.corpus.sharing_factor", factor, "x", "higher")
     assert factor > 2.5  # the paper's "typically a factor of four"

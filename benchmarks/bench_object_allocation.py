@@ -7,7 +7,7 @@ algorithms.  Reproduced: EEL instruction/block/edge objects vs the
 ad-hoc tool's decode count for the same workload.
 """
 
-from conftest import report
+from conftest import record, report
 from repro.core import Executable
 from repro.core import instruction as eel_instruction
 from repro.tools.qpt import QptProfiler
@@ -48,6 +48,9 @@ def test_object_allocation(benchmark):
     report("E9: object allocation census (workload: %s)" % WORKLOAD, rows,
            "EEL allocates 317,494 objects vs 84,655 (explicit "
            "representations cost space)")
+    record("e9.%s.qpt_objects" % WORKLOAD, classic.objects_allocated,
+           "objects", "lower")
+    record("e9.%s.eel_objects" % WORKLOAD, eel["total"], "objects", "lower")
     # Shape: EEL's explicit representations allocate more objects than a
     # single linear scan keeps.
     assert eel["total"] > eel["instructions"]

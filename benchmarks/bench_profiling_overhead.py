@@ -7,7 +7,7 @@ block-mode vs edge-mode slowdown, and exact agreement of reconstructed
 block counts with simulator ground truth.
 """
 
-from conftest import report
+from conftest import record, report
 from repro.core import Executable
 from repro.sim import run_image
 from repro.tools.qpt import profile
@@ -72,6 +72,13 @@ def test_profiling_overhead(benchmark):
     report("E12: qpt2 profiling overhead and correctness", rows,
            "edge profiling (Ball-Larus placement) beats block counting; "
            "reconstructed counts are exact")
+    for name in WORKLOADS:
+        for mode in ("block", "edge"):
+            slowdown, counters = results[name][mode][:2]
+            record("e12.%s.%s_slowdown" % (name, mode), slowdown, "x",
+                   "lower")
+            record("e12.%s.%s_counters" % (name, mode), counters,
+                   "counters", "lower")
     for name, modes in results.items():
         assert modes["block"][2] and modes["edge"][2], name
         assert modes["edge"][0] < modes["block"][0], name

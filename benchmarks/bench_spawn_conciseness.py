@@ -8,7 +8,7 @@ handwritten codecs, and generated modules.
 
 import inspect
 
-from conftest import report
+from conftest import record, report
 from repro.spawn import generate_source, load_description
 
 
@@ -45,6 +45,11 @@ def test_spawn_conciseness(benchmark):
     report("E5: machine description conciseness", rows,
            "SPARC 145 desc / 2,268 handwritten / 6,178 generated; "
            "MIPS 128 desc")
+    for arch, desc, hand, gen in (("sparc", desc_sparc, hand_sparc, gen_sparc),
+                                  ("mips", desc_mips, hand_mips, gen_mips)):
+        record("e5.%s.description_lines" % arch, desc, "lines", "lower")
+        record("e5.%s.handwritten_lines" % arch, hand, "lines", "lower")
+        record("e5.%s.generated_lines" % arch, gen, "lines", "lower")
     # Shape: description << handwritten < generated.
     assert desc_sparc * 4 < hand_sparc < gen_sparc
     assert desc_mips * 4 < hand_mips < gen_mips

@@ -9,9 +9,8 @@ portable and more precise.
 """
 
 import inspect
-import time
 
-from conftest import report
+from conftest import fastest_interleaved, record, report
 from repro.sim import run_image
 from repro.tools import qpt, qpt_classic
 from repro.tools.qpt import QptProfiler
@@ -32,18 +31,6 @@ def _text_size(image):
     return sum(s.size for s in image.sections.values() if s.is_exec)
 
 
-def _fastest_interleaved(tools):
-    """Fastest of ROUNDS runs of each tool, the tools taking turns so
-    that the host's load falls on both alike."""
-    best = [float("inf")] * len(tools)
-    for _ in range(ROUNDS):
-        for index, tool in enumerate(tools):
-            start = time.perf_counter()
-            tool()
-            best[index] = min(best[index], time.perf_counter() - start)
-    return best
-
-
 def test_table1_comparison(benchmark, monkeypatch):
     # Both tools analyze from scratch: a warm analysis cache would let
     # qpt2 skip the work the comparison is about.
@@ -59,7 +46,8 @@ def test_table1_comparison(benchmark, monkeypatch):
 
     qpt2_image = benchmark(run_qpt2)
     classic_image = run_classic()
-    classic_time, qpt2_time = _fastest_interleaved([run_classic, run_qpt2])
+    classic_time, qpt2_time = fastest_interleaved([run_classic, run_qpt2],
+                                                  ROUNDS)
 
     classic_run = run_image(classic_image)
     qpt2_run = run_image(qpt2_image)
@@ -82,6 +70,17 @@ def test_table1_comparison(benchmark, monkeypatch):
            % WORKLOAD, rows,
            "qpt2 runs 2.4-4.3x slower than qpt but is portable; "
            "qpt2's edited program is *cheaper* (optimal edge placement)")
+    record("e1.%s.instrument_slowdown" % WORKLOAD, qpt2_time / classic_time,
+           "x", "lower")
+    for tool, module, edited, run in (
+            ("qpt", qpt_classic, classic_image, classic_run),
+            ("qpt2", qpt, qpt2_image, qpt2_run)):
+        record("e1.%s.%s_loc" % (WORKLOAD, tool), _loc(module), "lines",
+               "lower")
+        record("e1.%s.%s_text_bytes" % (WORKLOAD, tool), _text_size(edited),
+               "bytes", "lower")
+        record("e1.%s.%s_edited_insns" % (WORKLOAD, tool),
+               run.instructions_executed, "insns", "lower")
     # Shape assertions: the general tool pays at instrumentation time...
     assert qpt2_time > classic_time
     # ...but produces a cheaper instrumented program (Ball-Larus).

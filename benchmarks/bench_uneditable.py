@@ -8,7 +8,7 @@ fraction among routines with at least 5 blocks (closer to the paper's
 population).
 """
 
-from conftest import report
+from conftest import record, report
 from repro.core import Executable
 from repro.workloads import build_image, program_names
 
@@ -45,6 +45,11 @@ def test_uneditable_fraction(benchmark):
     ]
     report("E3: uneditable blocks and edges", rows,
            "15-20% uneditable on SPEC92 (much larger routines)")
+    for population, census in (("all", raw), ("large", big)):
+        record("e3.%s.uneditable_block_rate" % population,
+               1 - census[0] / census[1], "ratio", "lower")
+        record("e3.%s.uneditable_edge_rate" % population,
+               1 - census[2] / census[3], "ratio", "lower")
     # Shape: a substantial minority, and larger routines approach the
     # paper's range from above.
     assert 0.10 < 1 - raw[0] / raw[1] < 0.60

@@ -53,10 +53,11 @@ def test_verify_overhead(tmp_path, monkeypatch):
            % (WORKLOAD, result.syncs), rows,
            paper_note="an edited program must behave identically to "
                       "the original (section 3.5)")
-    record("verify_overhead.%s.plain" % WORKLOAD, plain, "s")
-    record("verify_overhead.%s.full" % WORKLOAD, full, "s")
-    record("verify_overhead.%s.factor" % WORKLOAD, factor, "x")
-    record("verify_overhead.%s.memo_speedup" % WORKLOAD, memo_factor, "x")
+    record("verify_overhead.%s.plain" % WORKLOAD, plain, "s", "lower")
+    record("verify_overhead.%s.full" % WORKLOAD, full, "s", "lower")
+    record("verify_overhead.%s.factor" % WORKLOAD, factor, "x", "lower")
+    record("verify_overhead.%s.memo_speedup" % WORKLOAD, memo_factor, "x",
+           "higher")
     assert factor <= MAX_OVERHEAD_FACTOR, (
         "verification costs %.1fx a plain run (budget %.1fx)"
         % (factor, MAX_OVERHEAD_FACTOR))

@@ -6,18 +6,17 @@ differ (the substrate is a simulator, not a 1995 SPARCstation); the
 *shape* — who wins, rough factors, crossovers — is the reproduction
 target (see EXPERIMENTS.md).
 
-Besides the human-readable tables, the harness now emits machine-
-readable results: every numeric cell printed through :func:`report`
-(plus anything recorded explicitly via :func:`record`) is appended as a
-``{name, value, unit}`` record, and the whole batch is written to
-``BENCH_RESULTS.json`` at session end in the ``repro.obs.bench/1``
-schema (see ``repro.obs.report``), so perf PRs can diff before/after
-trajectories mechanically.
+Besides the human-readable tables (:func:`report`), each benchmark
+records the numbers it publishes through :func:`record`, once each,
+with the direction that is better.  The whole batch is written to
+``BENCH_RESULTS.json`` at session end in the ``repro.obs.bench/2``
+schema (see ``repro.obs.report``), which ``scripts/bench_diff.py``
+compares with the parent commit's results.
 """
 
 import os
-import re
 import sys
+import time
 
 import pytest
 
@@ -41,59 +40,26 @@ def _hermetic_analysis_cache(tmp_path_factory):
 # Session-wide accumulator for machine-readable benchmark records.
 _RECORDS = []
 
-_SLUG = re.compile(r"[^a-z0-9]+")
+
+def record(name, value, unit, better):
+    """Append one benchmark measurement; *better* is "higher" or "lower"."""
+    _RECORDS.append(obs_report.bench_record(name, value, unit, better))
 
 
-def _slug(text):
-    return _SLUG.sub("_", str(text).lower()).strip("_")
-
-
-def record(name, value, unit=""):
-    """Append one machine-readable benchmark measurement."""
-    _RECORDS.append(obs_report.bench_record(name, value, unit))
-
-
-def _auto_record(title, rows):
-    """Turn every numeric table cell into a bench record.
-
-    The record name is ``<table slug>.<row label>.<column header>``;
-    values given as "1.23x" strings become floats with unit "x".
-    """
-    if len(rows) < 2:
-        return
-    header = [_slug(cell) for cell in rows[0]]
-    table = _slug(title.split(":")[0] if ":" in title else title)
-    for row in rows[1:]:
-        label = _slug(row[0])
-        for column, cell in zip(header[1:], row[1:]):
-            value, unit = _coerce(cell)
-            if value is None:
-                continue
-            record("%s.%s.%s" % (table, label, column), value, unit)
-
-
-def _coerce(cell):
-    if isinstance(cell, bool):
-        return int(cell), "bool"
-    if isinstance(cell, (int, float)):
-        return cell, ""
-    if isinstance(cell, str):
-        text = cell.strip()
-        if text.endswith("x"):
-            try:
-                return float(text[:-1]), "x"
-            except ValueError:
-                return None, ""
-        try:
-            return float(text), ""
-        except ValueError:
-            return None, ""
-    return None, ""
+def fastest_interleaved(funcs, rounds):
+    """Fastest of *rounds* timed calls of each of *funcs*, the calls
+    taking turns so that the host's load falls on all of them alike."""
+    best = [float("inf")] * len(funcs)
+    for _ in range(rounds):
+        for index, func in enumerate(funcs):
+            start = time.perf_counter()
+            func()
+            best[index] = min(best[index], time.perf_counter() - start)
+    return best
 
 
 def report(title, rows, paper_note=""):
-    """Print a small aligned table to the benchmark log (and record
-    every numeric cell as a machine-readable result)."""
+    """Print a small aligned table to the benchmark log."""
     out = ["", "=" * 72, title]
     if paper_note:
         out.append("paper: %s" % paper_note)
@@ -105,7 +71,6 @@ def report(title, rows, paper_note=""):
                              for cell, width in zip(row, widths)))
     out.append("=" * 72)
     print("\n".join(out), file=sys.stderr)
-    _auto_record(title, rows)
 
 
 def pytest_sessionfinish(session, exitstatus):

@@ -1,21 +1,21 @@
 #!/usr/bin/env python
-"""Compare a fresh BENCH_RESULTS.json against the committed baseline.
+"""Compare a fresh BENCH_RESULTS.json with the parent commit's results.
 
-Both files use the ``repro.obs.bench/1`` schema (``{name, value,
-unit}`` records; see ``repro.obs.report``).  For every record present
-in both, the relative change is judged against a direction heuristic —
-whether a larger value is better (speedups, hit rates, throughput) or
-worse (slowdowns, overheads, wall-clock, misses) — inferred from the
-record's name and unit.  A change that is *worse* by more than the
-threshold (default 25%) is a regression and fails the run; metrics
-whose direction cannot be inferred are reported but never fail.
+The fresh file uses the ``repro.obs.bench/2`` schema: each record is
+``{name, value, unit, better}``, where ``better`` is ``"higher"`` or
+``"lower"`` (see ``repro.obs.report``).  The baseline is the same bench
+files' results at the parent commit, run on the same machine in the
+same job; it may still be in the older ``repro.obs.bench/1`` schema,
+whose records carry no direction, so the fresh record's ``better``
+decides.  Every record present in both files is compared, and a change
+that is *worse* by more than the threshold (default 25%) is a
+regression and fails the run.
 
 Usage::
 
     python scripts/bench_diff.py \
-        [--fresh benchmarks/BENCH_RESULTS.json] \
-        [--baseline benchmarks/BENCH_BASELINE.json] \
-        [--threshold 0.25]
+        --baseline PARENT/benchmarks/BENCH_RESULTS.json \
+        [--fresh benchmarks/BENCH_RESULTS.json] [--threshold 0.25]
 
 Records present on only one side are listed as informational (bench
 coverage changes with the benchmark set that ran), not failed.
@@ -23,48 +23,30 @@ coverage changes with the benchmark set that ran), not failed.
 
 import argparse
 import json
+import math
 import os
 import sys
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-
-# Substring markers, checked against the record name (most specific
-# signal first) and then the unit.  "x" alone is ambiguous: a slowdown
-# of 1.3x and a speedup of 5x both carry unit "x", so the name decides.
-HIGHER_IS_BETTER = ("speedup", "hit_rate", "hits", "throughput",
-                    "per_second", "ops", "coverage", "resolved")
-LOWER_IS_BETTER = ("slowdown", "overhead", "latency", "time", "misses",
-                   "wall", "elapsed", "bytes", "size", "growth",
-                   "spill", "fallback")
-LOWER_IS_BETTER_UNITS = ("s", "ms", "us", "seconds", "bytes", "kb", "mb")
+SCHEMAS = ("repro.obs.bench/1", "repro.obs.bench/2")
+SIGN = {"higher": 1, "lower": -1}
 
 
-def direction(name, unit):
-    """+1 when larger is better, -1 when smaller is better, 0 unknown."""
-    lowered = name.lower()
-    for marker in HIGHER_IS_BETTER:
-        if marker in lowered:
-            return 1
-    for marker in LOWER_IS_BETTER:
-        if marker in lowered:
-            return -1
-    if lowered.endswith(("_s", "_ms", "_us", "_seconds")):
-        return -1  # wall-clock in the name (median_s, p99_ms, ...)
-    if unit.lower() in LOWER_IS_BETTER_UNITS:
-        return -1
-    return 0
+def relative_change(old, new):
+    """``(new - old) / |old|``; any move away from a zero is infinite."""
+    if old:
+        return (new - old) / abs(old)
+    return math.copysign(math.inf, new) if new else 0.0
 
 
-def load_results(path):
+def load_results(path, schemas=SCHEMAS):
+    """``{name: record}`` from a results file in one of *schemas*."""
     with open(path) as handle:
         payload = json.load(handle)
-    if payload.get("schema") != "repro.obs.bench/1":
+    if payload.get("schema") not in schemas:
         raise ValueError("%s: unexpected schema %r"
                          % (path, payload.get("schema")))
-    table = {}
-    for record in payload.get("results", ()):
-        table[record["name"]] = (record["value"], record.get("unit", ""))
-    return table
+    return {record["name"]: record for record in payload.get("results", ())}
 
 
 def main(argv=None):
@@ -73,9 +55,8 @@ def main(argv=None):
     parser.add_argument("--fresh",
                         default=os.path.join(ROOT, "benchmarks",
                                              "BENCH_RESULTS.json"))
-    parser.add_argument("--baseline",
-                        default=os.path.join(ROOT, "benchmarks",
-                                             "BENCH_BASELINE.json"))
+    parser.add_argument("--baseline", required=True,
+                        help="the parent commit's BENCH_RESULTS.json")
     parser.add_argument("--threshold", type=float, default=0.25,
                         metavar="FRACTION",
                         help="relative worsening that fails the run "
@@ -86,25 +67,24 @@ def main(argv=None):
         if not os.path.exists(path):
             print("bench-diff: missing %s" % path, file=sys.stderr)
             return 1
-    fresh = load_results(args.fresh)
+    fresh = load_results(args.fresh, schemas=SCHEMAS[1:])
     baseline = load_results(args.baseline)
 
-    regressions, improvements, unknown = [], [], []
+    regressions, improvements = [], []
     compared = 0
     for name in sorted(set(fresh) & set(baseline)):
-        new_value, unit = fresh[name]
-        old_value, _ = baseline[name]
+        new_value = fresh[name]["value"]
+        old_value = baseline[name]["value"]
         if not isinstance(new_value, (int, float)) \
-                or not isinstance(old_value, (int, float)) or not old_value:
+                or not isinstance(old_value, (int, float)):
             continue
         compared += 1
-        change = (new_value - old_value) / abs(old_value)
-        sign = direction(name, unit)
-        line = "%-52s %12.4g -> %-12.4g (%+.1f%%)" \
-            % (name, old_value, new_value, change * 100)
-        if sign == 0:
-            unknown.append(line)
-        elif sign * change < -args.threshold:
+        change = relative_change(old_value, new_value)
+        sign = SIGN[fresh[name]["better"]]
+        line = "%-52s %12.4g -> %-12.4g (%+.1f%%, %s is better)" \
+            % (name, old_value, new_value, change * 100,
+               fresh[name]["better"])
+        if sign * change < -args.threshold:
             regressions.append(line)
         elif sign * change > args.threshold:
             improvements.append(line)
@@ -118,10 +98,6 @@ def main(argv=None):
     if improvements:
         print("improvements (>%d%%):" % (args.threshold * 100))
         for line in improvements:
-            print("  " + line)
-    if unknown:
-        print("direction unknown (informational):")
-        for line in unknown:
             print("  " + line)
     if regressions:
         print("REGRESSIONS (worse by >%d%%):" % (args.threshold * 100),

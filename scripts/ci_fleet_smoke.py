@@ -19,8 +19,8 @@ README promises:
   generation with zero client-visible failures;
 * clean drain — exit code 0, ``repro-fleet: drained`` on stderr, the
   gateway socket removed, no orphaned shard processes;
-* a well-formed ``--stats-json`` report carrying the ``fleet`` section
-  with a per-shard table that agrees with what the clients observed;
+* a well-formed ``--stats-json`` report carrying ``fleet.*`` counters
+  and a per-shard table that agrees with what the clients observed;
 * merged event logs (gateway + per-shard) from which every forwarded
   request reconstructs into ONE connected span tree spanning both
   processes: the shard's ``serve.request`` root hangs off the
@@ -144,7 +144,7 @@ def check_events(events_path, run_dir):
         union = record.span_union
         # Only forwarded client requests grow a gateway-side
         # ``fleet.request`` root; local ops and the fleet's own
-        # shard-maintenance traffic (health pings, handoff/warm) don't.
+        # shard-maintenance traffic (health pings, warm) don't.
         gateway_trees = [root for root in union
                          if root.get("name") == "fleet.request"]
         if not gateway_trees:
@@ -213,8 +213,8 @@ def main():
                     for name in corpus_names()
                     if route("workload:" + name, SHARDS) == VICTIM][:6]
         with ServeClient(sock, retries=10) as control:
-            victim_pid = control.stats(["fleet"])["report"]["fleet"][
-                "shards"][str(VICTIM)]["pid"]
+            victim_pid = control.stats(["shards"])["report"]["shards"][
+                str(VICTIM)]["pid"]
         for thread in threads:
             thread.start()
         # SIGKILL the victim while its verifies run: the requests it
@@ -251,26 +251,30 @@ def main():
 
         with open(stats) as handle:
             report = json.load(handle)
-        if report.get("schema") != "repro.obs/1":
+        if report.get("schema") != "repro.obs/2":
             fail("stats JSON has wrong schema: %r" % report.get("schema"))
-        fleet = report.get("fleet")
-        if not fleet:
-            fail("stats JSON is missing the fleet section")
+        counters = report.get("counters", {})
+        for name in ("fleet.requests", "fleet.forwarded", "fleet.rerouted",
+                     "fleet.hot_restarts", "fleet.shard_deaths",
+                     "fleet.respawns"):
+            if name not in counters:
+                fail("stats JSON counters are missing %r" % name)
         # 3 forwarded requests per client, plus pings and the restart.
-        if fleet["requests"] < CLIENTS * 3:
+        if counters["fleet.requests"] < CLIENTS * 3:
             fail("fleet.requests=%d, expected >= %d"
-                 % (fleet["requests"], CLIENTS * 3))
-        if fleet["forwarded"] < CLIENTS * 3:
+                 % (counters["fleet.requests"], CLIENTS * 3))
+        if counters["fleet.forwarded"] < CLIENTS * 3:
             fail("fleet.forwarded=%d, expected >= %d"
-                 % (fleet["forwarded"], CLIENTS * 3))
-        if fleet["hot_restarts"] < 1:
+                 % (counters["fleet.forwarded"], CLIENTS * 3))
+        if counters["fleet.hot_restarts"] < 1:
             fail("fleet.hot_restarts=%d after an explicit restart"
-                 % fleet["hot_restarts"])
-        if fleet["shard_deaths"] < 1 or fleet["respawns"] < 1:
+                 % counters["fleet.hot_restarts"])
+        if counters["fleet.shard_deaths"] < 1 \
+                or counters["fleet.respawns"] < 1:
             fail("shard %d was killed but fleet.shard_deaths=%d, "
-                 "fleet.respawns=%d" % (VICTIM, fleet["shard_deaths"],
-                                        fleet["respawns"]))
-        shards = fleet.get("shards") or {}
+                 "fleet.respawns=%d" % (VICTIM, counters["fleet.shard_deaths"],
+                                        counters["fleet.respawns"]))
+        shards = report.get("shards") or {}
         if sorted(shards) != [str(i) for i in range(SHARDS)]:
             fail("per-shard table is incomplete: %r" % sorted(shards))
         if shards["0"]["generation"] < 2:
@@ -285,8 +289,9 @@ def main():
               "%d forwarded (%d rerouted), shard %d killed and respawned "
               "(%d retried traces), hot restart to generation %d, %d "
               "connected cross-process span trees, clean drain"
-              % (CLIENTS, SHARDS, fleet["forwarded"], fleet["rerouted"],
-                 VICTIM, retried, shards["0"]["generation"], crossed))
+              % (CLIENTS, SHARDS, counters["fleet.forwarded"],
+                 counters["fleet.rerouted"], VICTIM, retried,
+                 shards["0"]["generation"], crossed))
         return 0
     finally:
         if gateway.poll() is None:

@@ -140,30 +140,35 @@ def main():
 
         with open(stats) as handle:
             report = json.load(handle)
-        if report.get("schema") != "repro.obs/1":
+        if report.get("schema") != "repro.obs/2":
             fail("stats JSON has wrong schema: %r" % report.get("schema"))
-        serve = report.get("serve")
-        if not serve:
-            fail("stats JSON is missing the serve section")
-        # 3 requests per client, plus the wait_for_daemon pings.
-        if serve["requests"] < CLIENTS * 3:
-            fail("serve.requests=%d, expected >= %d"
-                 % (serve["requests"], CLIENTS * 3))
-        if serve["ok"] < CLIENTS * 3:
-            fail("serve.ok=%d, expected >= %d" % (serve["ok"], CLIENTS * 3))
         counters = report.get("counters", {})
         for name in ("serve.requests", "serve.responses.ok",
-                     "serve.coalesced", "serve.timeouts"):
+                     "serve.responses.error", "serve.rejected.queue_full",
+                     "serve.rejected.draining", "serve.coalesced",
+                     "serve.timeouts"):
             if name not in counters:
                 fail("stats JSON counters are missing %r" % name)
-        if not serve.get("latency"):
-            fail("stats JSON serve section has no per-op latency")
+        # 3 requests per client, plus the wait_for_daemon pings.
+        if counters["serve.requests"] < CLIENTS * 3:
+            fail("serve.requests=%d, expected >= %d"
+                 % (counters["serve.requests"], CLIENTS * 3))
+        if counters["serve.responses.ok"] < CLIENTS * 3:
+            fail("serve.responses.ok=%d, expected >= %d"
+                 % (counters["serve.responses.ok"], CLIENTS * 3))
+        if not any(name.startswith("serve.latency.")
+                   for name in report.get("histograms", {})):
+            fail("stats JSON has no per-op serve latency histogram")
         traced = check_events(events_path)
         print("ci-serve-smoke: OK — %d clients, %d requests "
               "(%d ok, %d errors, %d rejected, %d coalesced), "
               "%d connected span trees, clean drain"
-              % (CLIENTS, serve["requests"], serve["ok"], serve["errors"],
-                 serve["rejected"], serve["coalesced"], traced))
+              % (CLIENTS, counters["serve.requests"],
+                 counters["serve.responses.ok"],
+                 counters["serve.responses.error"],
+                 counters["serve.rejected.queue_full"]
+                 + counters["serve.rejected.draining"],
+                 counters["serve.coalesced"], traced))
         return 0
     finally:
         if daemon.poll() is None:

@@ -35,6 +35,7 @@ from repro.binfmt.serialize import (
     analysis_to_bytes,
 )
 from repro.obs import metrics as _metrics
+from repro.obs.trace import phase as _phase
 from repro.obs.trace import span as _span
 
 _C_HITS = _metrics.counter("cache.hits")
@@ -45,6 +46,9 @@ _C_EVICTIONS = _metrics.counter("cache.evictions")
 _C_ERRORS = _metrics.counter("cache.store_errors")
 _C_PRUNE_RACES = _metrics.counter("cache.prune_races")
 _C_MEMORY_HITS = _metrics.counter("cache.memory_hits")
+_metrics.ratio("cache.hit_rate", (_C_HITS,), (_C_HITS, _C_MISSES))
+_phase("cache.load")
+_phase("cache.store")
 
 _SUFFIX = ".eela"
 _VERDICT_SUFFIX = ".eelv"

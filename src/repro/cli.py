@@ -20,7 +20,7 @@
 
 ``run``, ``profile``, ``cachesim``, ``stats``, and ``verify`` accept
 telemetry flags: ``--trace`` prints the span tree and counters to
-stderr, and ``--stats-json PATH`` writes the full ``repro.obs/1`` JSON
+stderr, and ``--stats-json PATH`` writes the full ``repro.obs/2`` JSON
 report.  ``serve`` and ``fuzz`` additionally accept ``--events PATH``
 to append a durable ``repro.events/1`` JSONL log that ``repro trace``
 replays into per-request span trees and anomaly flags.
@@ -329,8 +329,11 @@ def _cmd_stats(args):
 
     Runs symbol-table refinement, builds every routine's CFG (which
     triggers indirect-jump analysis), optionally simulates the program,
-    and prints the ``repro.obs/1`` JSON report on stdout (or writes it
-    with ``--stats-json``).
+    and prints the ``repro.obs/2`` JSON report on stdout (or writes it
+    with ``--stats-json``): the span tree, every counter, gauge and
+    histogram under its own name, and in ``derived`` each declared
+    ratio whose denominator is non-zero, such as
+    ``cfg.uneditable_block_rate`` and ``indirect.resolved_rate``.
     """
     from repro import obs
     from repro.obs import report as obs_report
@@ -910,8 +913,7 @@ def main(argv=None):
                             help="send one request to a running daemon")
     client.add_argument("op", choices=("ping", "run", "routines", "disasm",
                                        "instrument", "verify", "stats",
-                                       "top", "shutdown", "handoff",
-                                       "hot_restart"))
+                                       "top", "shutdown", "hot_restart"))
     client.add_argument("--socket", default=None, metavar="PATH")
     client.add_argument("--workload", default=None)
     client.add_argument("--image", default=None, metavar="PATH",

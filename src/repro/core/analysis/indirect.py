@@ -21,6 +21,7 @@ small abstract evaluator.  Outcomes:
 from repro.core.cfg import IndirectJumpInfo
 from repro.isa import bits
 from repro.obs import metrics as _metrics
+from repro.obs.trace import phase as _phase
 from repro.obs.trace import span as _span
 
 _MAX_TABLE = 4096
@@ -32,7 +33,11 @@ _OUTCOMES = {
     status: _metrics.counter("indirect.%s" % status)
     for status in ("table", "literal", "tailcall", "unanalyzable")
 }
+_metrics.ratio("indirect.resolved_rate",
+               [_OUTCOMES[s] for s in ("table", "literal", "tailcall")],
+               _OUTCOMES.values())
 _H_TABLE = _metrics.histogram("indirect.table_entries")
+_phase("indirect.resolve")
 
 
 def record_indirect_outcome(info):

@@ -10,8 +10,9 @@ as the paper does:
 * **impossible** — the value flows through memory, a call boundary, or
   anything else the slicer cannot follow statically.
 
-The indirect-jump analyzer interprets the sliced instructions to find
-dispatch tables and literal targets.
+Tools reach it through ``CFG.backward_slice``.  The indirect-jump
+analyzer does not use it: ``indirect._Evaluator.reg_before`` walks the
+CFG backward on its own and evaluates each definition it meets.
 """
 
 

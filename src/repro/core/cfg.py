@@ -23,6 +23,7 @@ import types
 
 from repro.isa.base import Category
 from repro.obs import metrics as _metrics
+from repro.obs.trace import phase as _phase
 from repro.obs.trace import span as _span
 
 _C_BUILDS = _metrics.counter("cfg.builds")
@@ -34,6 +35,12 @@ _C_EDITABLE_BLOCKS = _metrics.counter("cfg.editable_blocks")
 _C_EDITABLE_EDGES = _metrics.counter("cfg.editable_edges")
 _C_INCOMPLETE = _metrics.counter("cfg.incomplete")
 _H_BLOCKS = _metrics.histogram("cfg.blocks_per_routine")
+# The paper's Table 1 shares: blocks and edges a tool cannot edit.
+_metrics.ratio("cfg.uneditable_block_rate", (_C_EDITABLE_BLOCKS,),
+               (_C_BLOCKS,), complement=True)
+_metrics.ratio("cfg.uneditable_edge_rate", (_C_EDITABLE_EDGES,),
+               (_C_EDGES,), complement=True)
+_phase("cfg.build")
 
 # Block kinds.
 BK_NORMAL = "normal"

@@ -18,9 +18,12 @@ from repro.binfmt.serialize import read_image, write_image
 from repro.core.instruction import flyweights_for, instruction_for
 from repro.isa import get_codec, get_conventions
 from repro.obs import metrics as _metrics
+from repro.obs.trace import phase as _phase
 from repro.obs.trace import span as _span
 
 _C_ADOPTED = _metrics.counter("facts.adopted")
+_phase("exe.read_contents", "phase.refine.total")
+_phase("layout.finalize")
 
 # Fresh address space for tool data (counter arrays, state tables).
 TOOL_DATA_BASE = 0x0100_0000

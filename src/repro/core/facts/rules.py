@@ -29,11 +29,17 @@ from repro.core.facts.store import FactStore
 from repro.core.symtab_refine import routine_identity
 from repro.isa.base import Category
 from repro.obs import metrics as _metrics
+from repro.obs.trace import phase as _phase
 from repro.obs.trace import span as _span
 
 _C_REDERIVED = _metrics.counter("facts.rederived")
 _C_REFRESHED = _metrics.counter("facts.refreshed")
 _C_ESCALATIONS = _metrics.counter("facts.escalations")
+# The share of derivations that were incremental, not cold.
+_metrics.ratio("facts.incremental_rate", (_C_REDERIVED, _C_REFRESHED),
+               (_metrics.counter("facts.derived"),))
+_phase("facts.populate")
+_phase("facts.solve")
 
 # Derivation order: a fact kind only reads kinds to its left.
 KIND_ORDER = ("routine", "cfg", "liveness", "dispatch", "islands",

@@ -54,6 +54,7 @@ from repro.core.regalloc import allocate_snippet
 from repro.isa import bits
 from repro.isa.base import Category, SpanError
 from repro.obs import metrics as _metrics
+from repro.obs.trace import phase as _phase
 from repro.obs.trace import span as _span
 
 _C_ROUTINES = _metrics.counter("layout.routines")
@@ -70,6 +71,7 @@ _C_BYTES = _metrics.counter("layout.edited_bytes")
 # units of their own.
 _C_ITEMS = _metrics.counter("layout.items")
 _C_RUN_WORDS = _metrics.counter("layout.run_words")
+_phase("layout.routine")
 
 # Long-branch relaxation never needs more passes than there are jumps
 # (each pass either converges or grows at least one more jump to its

@@ -22,6 +22,8 @@ _C_ALLOCATIONS = _metrics.counter("regalloc.allocations")
 _C_SCAVENGED = _metrics.counter("regalloc.scavenged")
 _C_SPILLED = _metrics.counter("regalloc.spilled")
 _C_CC_SAVES = _metrics.counter("regalloc.cc_saves")
+_metrics.ratio("regalloc.spill_rate", (_C_SPILLED,),
+               (_C_SCAVENGED, _C_SPILLED))
 
 # Remembered decisions; cleared when full, so a long-lived process that
 # sees ever new live sets stays bounded.

@@ -21,6 +21,7 @@ import re
 from repro.binfmt.image import BIND_GLOBAL, SYM_FUNC
 from repro.isa.base import Category
 from repro.obs import metrics as _metrics
+from repro.obs.trace import phase as _phase
 from repro.obs.trace import span as _span
 
 # Compiler-temporary label pattern (".L12", "L5", ".Lcase3", ...).
@@ -36,6 +37,10 @@ _DIRECT_CATEGORIES = (Category.CALL, Category.JUMP, Category.BRANCH)
 _C_ROUTINES = _metrics.counter("refine.routines")
 _C_HIDDEN = _metrics.counter("refine.hidden")
 _C_STRIPPED = _metrics.counter("refine.stripped_seeds")
+_phase("refine.stage1_symtab", "phase.refine.symtab")
+_phase("refine.stage2_stripped", "phase.refine.stripped")
+_phase("refine.stage3_interproc", "phase.refine.interproc")
+_phase("refine.stage4_cfg", "phase.refine.cfg")
 
 
 def refine_symbol_table(executable):

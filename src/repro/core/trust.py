@@ -56,6 +56,7 @@ _C_TRUSTED = _metrics.counter("meta.trusted")
 _C_REJECTS = _metrics.counter("meta.rejects")
 _C_REASON = {reason: _metrics.counter("meta.reject." + reason)
              for reason in REJECT_REASONS}
+_metrics.ratio("meta.trust_rate", (_C_TRUSTED,), (_C_PRESENT,))
 
 # Every control-transfer category (none is INVALID), as a tuple: its
 # membership test compares identities instead of hashing enum members.

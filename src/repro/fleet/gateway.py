@@ -19,9 +19,9 @@ hot-restart looks like one short backoff from the outside.
 
 A few ops never reach a shard: ``ping``, ``stats``, ``top``, and
 ``shutdown`` describe or control the fleet itself, and ``hot_restart``
-triggers a rolling replacement.  ``stats`` grafts the live shard table
-into the report's ``fleet`` section, which is what gives ``repro
-export`` its per-shard labels and ``repro top`` its shard rows.
+triggers a rolling replacement.  ``stats`` and ``top`` carry the live
+shard table under ``shards``, which is what gives ``repro export`` its
+per-shard labels and ``repro top`` its shard rows.
 """
 
 import os
@@ -42,9 +42,9 @@ _C_REQUESTS = _metrics.counter("fleet.requests")
 _C_FORWARDED = _metrics.counter("fleet.forwarded")
 _C_REROUTED = _metrics.counter("fleet.rerouted")
 _C_REJECTED = _metrics.counter("fleet.rejected")
+_metrics.ratio("fleet.forward_rate", (_C_FORWARDED,), (_C_REQUESTS,))
 _G_Q_INTERACTIVE = _metrics.gauge("fleet.queue.interactive")
 _G_Q_BULK = _metrics.gauge("fleet.queue.bulk")
-_H_QUEUE_WAIT = _metrics.histogram("fleet.queue_wait")
 
 # A requester waits one shard timeout plus this margin, so a hung shard
 # reaches the client as the gateway's typed answer, not as the client's
@@ -94,16 +94,15 @@ class FleetGateway(FrontDoor):
             self.config.forwarders, os.getpid())
 
     def summary(self, report):
-        fleet = report["fleet"]
+        counters = report["counters"]
         return ("drained (%d requests, %d forwarded, %d rerouted, "
                 "%d hot restarts)"
-                % (fleet["requests"], fleet["forwarded"], fleet["rerouted"],
-                   fleet["hot_restarts"]))
+                % (counters["fleet.requests"], counters["fleet.forwarded"],
+                   counters["fleet.rerouted"],
+                   counters["fleet.hot_restarts"]))
 
-    def build_report(self):
-        report = super().build_report()
-        report["fleet"]["shards"] = self.manager.shard_table()
-        return report
+    def shard_table(self):
+        return self.manager.shard_table()
 
     def describe(self):
         interactive, bulk = self.queue.depths()
@@ -152,28 +151,6 @@ class FleetGateway(FrontDoor):
                 "pid": os.getpid(),
                 "fleet": {"shards": self.config.shards,
                           "live": len(self.manager.live_slots())}}
-
-    def top_snapshot(self, cursor=None):
-        """Fleet shape of the ``top`` op: gateway counters plus the
-        shard table (``repro top`` renders the table when present)."""
-        counters = {name: instrument.value for name, instrument
-                    in sorted(_metrics.REGISTRY.counters.items())
-                    if instrument.value and name.startswith("fleet.")}
-        gauges = {name: instrument.value for name, instrument
-                  in sorted(_metrics.REGISTRY.gauges.items())
-                  if instrument.value is not None}
-        queue_wait = _H_QUEUE_WAIT.snapshot() if _H_QUEUE_WAIT.count \
-            else None
-        return {
-            "cursor": 0,
-            "incremental": False,
-            "server": self.describe(),
-            "counters": counters,
-            "gauges": gauges,
-            "latency": {},
-            "queue_wait": queue_wait,
-            "shards": self.manager.shard_table(),
-        }
 
     def _hot_restart(self, params):
         shard = params.get("shard")

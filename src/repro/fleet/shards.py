@@ -14,11 +14,11 @@ gateway's record of what that slot served recently; while it is down,
 rendezvous failover routes its keys to their second-choice shard.
 
 Hot-restart is the same machinery driven deliberately: spawn the
-replacement at the next generation, pre-warm it from the *old*
-process's own handoff snapshot (the ``handoff``/``warm`` ops), swap
-the slot atomically, then drain the old process.  Clients see at most
-a ``draining`` answer with ``retry_after`` — which the client retries
-onto the warm replacement — never a failure.
+replacement at the next generation, pre-warm it from the same record
+(the ``warm`` op), swap the slot atomically, then drain the old
+process.  Clients see at most a ``draining`` answer with
+``retry_after`` — which the client retries onto the warm replacement —
+never a failure.
 """
 
 import os
@@ -53,9 +53,8 @@ class ShardSlot:
         # forwarders; a generation bump orphans them (stale clients are
         # detected by generation tag and discarded on check-in).
         self._pool = []
-        # What this slot served recently — the warm set a respawned
-        # process is pre-warmed with when the old one died without a
-        # handoff (gateway-side fallback snapshot).
+        # What this slot served recently — the warm set a respawned or
+        # hot-restarted process is pre-warmed with.
         self.recent = OrderedDict()
         # Gateway-side per-slot counters (the `stats` shard table).
         self.requests = 0
@@ -301,14 +300,13 @@ class ShardManager:
 
         1. Spawn the next generation on a fresh socket (the old
            process keeps serving).
-        2. Ask the *old* process for its handoff snapshot and pre-warm
-           the replacement with it (falling back to the gateway-side
-           recent set if the old process cannot answer).
+        2. Pre-warm the replacement with what the slot served
+           recently.
         3. Swap the slot's routing state atomically.
         4. Drain the old process; requests it rejects as ``draining``
            are retried by their clients onto the warm replacement.
 
-        Returns a summary dict (generation, warmed count).
+        Returns a summary dict (shard, generation, warmed count).
         """
         with self._spawn_lock:
             with slot.lock:
@@ -329,8 +327,7 @@ class ShardManager:
                              generation=old_generation)
                 raise RuntimeError("replacement shard %d-g%d did not "
                                    "come up" % (slot.index, new_generation))
-            workloads = self._handoff(old_path) or slot.recent_workloads()
-            warmed = self._prewarm(new_path, workloads)
+            warmed = self._prewarm(new_path, slot.recent_workloads())
             # Atomic swap: from here every new forward resolves to the
             # replacement; in-flight requests still finish on the old
             # process while it drains below.
@@ -342,14 +339,13 @@ class ShardManager:
             slot.drop_pool()
             _C_HOT_RESTARTS.inc()
             _events.emit("fleet.hot_restart.swap", shard=slot.index,
-                         generation=new_generation, warmed=warmed,
-                         handoff=len(workloads))
+                         generation=new_generation, warmed=warmed)
         # Drain outside the spawn lock: other slots stay restartable.
         self._shutdown_process(old_path, old_process)
         _events.emit("fleet.hot_restart.finish", shard=slot.index,
                      generation=new_generation)
         return {"shard": slot.index, "generation": new_generation,
-                "warmed": warmed, "handoff": len(workloads)}
+                "warmed": warmed}
 
     def _spawn_detached(self, slot, generation):
         """Spawn a process for *generation* without touching the slot's
@@ -377,17 +373,6 @@ class ShardManager:
         _events.emit("fleet.shard_spawn", shard=slot.index,
                      generation=generation, pid=process.pid, socket=path)
         return process
-
-    def _handoff(self, socket_path):
-        """The old process's warm snapshot, or None when unreachable."""
-        try:
-            with ServeClient(socket_path, connect_timeout=1.0,
-                             io_timeout=5.0, retries=0) as client:
-                result = client.request("handoff")
-                workloads = result.get("workloads")
-                return workloads if isinstance(workloads, list) else None
-        except (OSError, ServeError):
-            return None
 
     def rolling_restart(self):
         """Hot-restart every slot in turn; the fleet never goes cold."""

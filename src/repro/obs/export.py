@@ -1,10 +1,10 @@
-"""Prometheus text-format export of the ``repro.obs/1`` report.
+"""Prometheus text-format export of the ``repro.obs/2`` report.
 
 Turns a report dict (from :func:`repro.obs.report.build_report`, a
 ``--stats-json`` file, or a daemon's ``stats`` op) into the Prometheus
 exposition format (text/plain; version=0.0.4), so any scraper can
-ingest the same counters, gauges, and latency percentiles the CLI
-prints:
+ingest the same counters, gauges, ratios and latency percentiles the
+CLI prints:
 
     repro_serve_requests 42
     repro_serve_latency_run{quantile="0.99"} 0.0137
@@ -13,9 +13,11 @@ prints:
 
 Metric names are sanitized (dots and dashes become underscores) and
 histograms are exported as Prometheus *summaries*: ``{quantile=...}``
-samples plus ``_count`` and ``_sum`` series.  ``repro export`` drives
-this from the command line against either a stats JSON file or a live
-daemon.
+samples plus ``_count`` and ``_sum`` series.  Ratios in ``derived``
+become ``repro_derived_*`` gauges, and a gateway's ``shards`` table
+becomes ``repro_fleet_shard_<field>{shard="N"}`` gauges.  ``repro
+export`` drives this from the command line against either a stats JSON
+file or a live daemon.
 """
 
 import re
@@ -23,6 +25,9 @@ import re
 _SANITIZE = re.compile(r"[^a-zA-Z0-9_:]")
 
 QUANTILES = (("0.5", "p50"), ("0.95", "p95"), ("0.99", "p99"))
+
+# The metric family of each numeric field of a shard-table entry.
+SHARD_FAMILY = "repro_fleet_shard_"
 
 
 def metric_name(name):
@@ -70,8 +75,6 @@ def prometheus_text(report=None):
         lines.append("%s_sum %s"
                      % (metric, _format_value(summary.get("sum", 0))))
     for name, value in sorted(report.get("derived", {}).items()):
-        if not isinstance(value, (int, float)) or isinstance(value, bool):
-            continue
         metric = metric_name("derived." + name)
         lines.append("# TYPE %s gauge" % metric)
         lines.append("%s %s" % (metric, _format_value(value)))
@@ -82,13 +85,13 @@ def prometheus_text(report=None):
 def _shard_lines(report):
     """Per-shard samples, labeled ``{shard="N"}``, from a gateway report.
 
-    A report taken from a fleet gateway carries a populated
-    ``fleet.shards`` table; each numeric field of each shard becomes a
+    A report taken from a fleet gateway carries a ``shards`` table;
+    each numeric field of each shard becomes a
     ``repro_fleet_shard_<field>{shard="N"}`` sample so one scrape of
-    the gateway covers the whole fleet.  Standalone reports have an
-    empty table and contribute nothing.
+    the gateway covers the whole fleet.  Other reports have no table
+    and contribute nothing.
     """
-    shards = (report.get("fleet") or {}).get("shards") or {}
+    shards = report.get("shards") or {}
     lines = []
     typed = set()
     for shard_id in sorted(shards, key=str):
@@ -97,7 +100,7 @@ def _shard_lines(report):
             value = entry[field]
             if not isinstance(value, (int, float, bool)):
                 continue
-            metric = metric_name("fleet.shard." + field)
+            metric = _SANITIZE.sub("_", SHARD_FAMILY + field)
             if metric not in typed:
                 typed.add(metric)
                 lines.append("# TYPE %s gauge" % metric)

@@ -1,11 +1,15 @@
 """Counters, gauges, and histograms for the edit/simulate pipeline.
 
 Metric objects are interned by name in a module-level :class:`Registry`
-so hot call sites can hold a direct reference:
+so hot call sites can hold a direct reference.  The module that
+produces a metric declares it, and any ratio over it, beside the code
+that counts:
 
-    _BLOCKS = metrics.counter("cfg.blocks")
+    _HITS = metrics.counter("tool.hits")
+    _MISSES = metrics.counter("tool.misses")
+    metrics.ratio("tool.hit_rate", (_HITS,), (_HITS, _MISSES))
     ...
-    _BLOCKS.inc(len(self.blocks))
+    _HITS.inc()
 
 ``Registry.reset()`` zeroes values **in place** — interned references
 stay valid across resets, which is what lets the CLI take a clean
@@ -130,13 +134,42 @@ class Histogram:
         }
 
 
+class Ratio:
+    """The share of one sum of counters in another.
+
+    *complement* reports the rest instead: ``(whole - part) / whole``.
+    The report's ``derived`` section holds the value of every declared
+    ratio whose whole is non-zero.
+    """
+
+    __slots__ = ("name", "part", "whole", "complement")
+
+    def __init__(self, name, part, whole, complement=False):
+        self.name = name
+        self.part = tuple(counter.name for counter in part)
+        self.whole = tuple(counter.name for counter in whole)
+        self.complement = complement
+
+    def denominator(self, counters):
+        return sum(counters.get(name, 0) for name in self.whole)
+
+    def value(self, counters):
+        """The ratio over a counter snapshot; None when the whole is 0."""
+        whole = self.denominator(counters)
+        if not whole:
+            return None
+        part = sum(counters.get(name, 0) for name in self.part)
+        return (whole - part if self.complement else part) / whole
+
+
 class Registry:
-    """Interning store for all metric instruments."""
+    """Interning store for all metric instruments and ratio declarations."""
 
     def __init__(self):
         self.counters = {}
         self.gauges = {}
         self.histograms = {}
+        self.ratios = {}
 
     def _intern(self, table, factory, name):
         instrument = table.get(name)
@@ -152,6 +185,20 @@ class Registry:
 
     def histogram(self, name):
         return self._intern(self.histograms, Histogram, name)
+
+    def ratio(self, name, part, whole, complement=False):
+        """Declare the ratio *name* over the counters *part* and *whole*."""
+        self.ratios[name] = Ratio(name, part, whole, complement)
+        return self.ratios[name]
+
+    def derived(self, counters):
+        """Every declared ratio with a non-zero whole, over *counters*."""
+        values = {}
+        for name, ratio in sorted(self.ratios.items()):
+            value = ratio.value(counters)
+            if value is not None:
+                values[name] = value
+        return values
 
     def reset(self):
         """Zero every instrument in place (references stay valid)."""
@@ -178,6 +225,7 @@ REGISTRY = Registry()
 counter = REGISTRY.counter
 gauge = REGISTRY.gauge
 histogram = REGISTRY.histogram
+ratio = REGISTRY.ratio
 
 
 def reset():

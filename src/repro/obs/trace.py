@@ -20,28 +20,18 @@ from time import perf_counter
 from repro.obs import context as _context
 from repro.obs import metrics as _metrics
 
-# Span names whose durations also feed a latency histogram, so
-# ``build_report()`` can quote p50/p95/p99 per pipeline phase.  The
-# observation happens in ``Span.__exit__`` — only while tracing is
-# enabled — so the disabled fast path is untouched.
-PHASE_SPANS = {
-    "refine.stage1_symtab": "phase.refine.symtab",
-    "refine.stage2_stripped": "phase.refine.stripped",
-    "refine.stage3_interproc": "phase.refine.interproc",
-    "refine.stage4_cfg": "phase.refine.cfg",
-    "exe.read_contents": "phase.refine.total",
-    "cfg.build": "phase.cfg.build",
-    "indirect.resolve": "phase.indirect.resolve",
-    "layout.routine": "phase.layout.routine",
-    "layout.finalize": "phase.layout.finalize",
-    "verify.lints": "phase.verify.lints",
-    "verify.cosim": "phase.verify.cosim",
-    "sim.run": "phase.sim.run",
-    "cache.load": "phase.cache.load",
-    "cache.store": "phase.cache.store",
-    "facts.populate": "phase.facts.populate",
-    "facts.solve": "phase.facts.solve",
-}
+# Span names whose durations also feed a latency histogram, so the
+# report quotes p50/p95/p99 per pipeline phase.  The module that opens
+# a span declares it here with :func:`phase`.  The observation happens
+# in ``Span.__exit__`` — only while tracing is enabled — so the
+# disabled fast path is untouched.
+PHASE_SPANS = {}
+
+
+def phase(span_name, histogram=None):
+    """Feed *span_name*'s durations to the histogram *histogram*
+    (default ``"phase." + span_name``)."""
+    PHASE_SPANS[span_name] = histogram or "phase." + span_name
 
 
 class _NullSpan:

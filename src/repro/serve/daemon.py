@@ -21,7 +21,6 @@ requests share one warm analysis state under one lock discipline.
 import os
 import threading
 import time
-from collections import OrderedDict
 
 from repro.obs import events as _events
 from repro.obs import metrics as _metrics
@@ -39,12 +38,8 @@ _C_DRAINING = _metrics.counter("serve.rejected.draining")
 _C_TIMEOUTS = _metrics.counter("serve.timeouts")
 _C_DEGRADED = _metrics.counter("serve.degraded")
 _C_DEATHS = _metrics.counter("serve.worker_deaths")
+_metrics.ratio("serve.ok_rate", (_C_OK,), (_C_REQUESTS,))
 
-# Latency accounting is unconditional (histograms are cheap and `repro
-# top` must work against a daemon running without --trace).
-_H_QUEUE_WAIT = _metrics.histogram("serve.queue_wait")
-
-_WARM_KEYS_CAP = 64  # recent workloads remembered for hot-restart handoff
 RESTARTS = 3  # dead workers replaced before the serial fallback
 WARM_CAP = 64  # analysis summaries the in-memory warm layer keeps
 
@@ -71,11 +66,6 @@ class EditServer(FrontDoor):
         self._coalesce_lock = threading.Lock()
         self._coalescing = {}         # key -> Event of the leading request
         self._worker_states = {}      # thread name -> "idle" | op name
-        self._top_lock = threading.Lock()
-        self._top_cursor = 0
-        self._top_snapshots = {}      # cursor -> counter snapshot
-        self._warm_lock = threading.Lock()
-        self._warm_keys = OrderedDict()  # workload name -> True (LRU)
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -105,11 +95,15 @@ class EditServer(FrontDoor):
             os.getpid(), shard_tag)
 
     def summary(self, report):
-        serve = report["serve"]
+        counters = report["counters"]
         return ("drained cleanly (%d requests: %d ok, %d errors, "
                 "%d rejected, %d timeouts)"
-                % (serve["requests"], serve["ok"], serve["errors"],
-                   serve["rejected"], serve["timeouts"]))
+                % (counters["serve.requests"],
+                   counters["serve.responses.ok"],
+                   counters["serve.responses.error"],
+                   counters["serve.rejected.queue_full"]
+                   + counters["serve.rejected.draining"],
+                   counters["serve.timeouts"]))
 
     def describe(self):
         with self._lock:
@@ -128,47 +122,6 @@ class EditServer(FrontDoor):
             "queue_depth": len(self.queue),
             "uptime_s": time.monotonic() - self.started_at
             if self.started_at is not None else 0.0,
-        }
-
-    def top_snapshot(self, cursor=None):
-        """Incremental metrics snapshot for the ``top`` op.
-
-        Returns live daemon state plus *counter deltas* since the
-        snapshot named by *cursor* (absolute values when the cursor is
-        unknown or absent), gauges, and per-op latency percentiles.
-        The response carries a fresh cursor the caller hands back on
-        its next call; a handful of recent snapshots are kept so one
-        slow watcher cannot grow daemon memory.
-        """
-        counters = {name: instrument.value for name, instrument
-                    in _metrics.REGISTRY.counters.items()}
-        with self._top_lock:
-            baseline = self._top_snapshots.get(cursor, {})
-            self._top_cursor += 1
-            fresh = self._top_cursor
-            self._top_snapshots[fresh] = counters
-            while len(self._top_snapshots) > 8:
-                self._top_snapshots.pop(min(self._top_snapshots))
-        deltas = {name: value - baseline.get(name, 0)
-                  for name, value in sorted(counters.items())
-                  if value - baseline.get(name, 0)}
-        gauges = {name: instrument.value for name, instrument
-                  in sorted(_metrics.REGISTRY.gauges.items())
-                  if instrument.value is not None}
-        latency = {}
-        for name, instrument in sorted(_metrics.REGISTRY.histograms.items()):
-            if name.startswith("serve.latency.") and instrument.count:
-                latency[name[len("serve.latency."):]] = instrument.snapshot()
-        queue_wait = _H_QUEUE_WAIT.snapshot() if _H_QUEUE_WAIT.count \
-            else None
-        return {
-            "cursor": fresh,
-            "incremental": bool(baseline),
-            "server": self.describe(),
-            "counters": deltas,
-            "gauges": gauges,
-            "latency": latency,
-            "queue_wait": queue_wait,
         }
 
     # ------------------------------------------------------------------
@@ -203,21 +156,6 @@ class EditServer(FrontDoor):
         _events.emit("coalesce.loser", key=key)
         event.wait(self.config.timeout_s)
         return fn()
-
-    def note_warm(self, workload):
-        """Remember that *workload* is warm here (handoff snapshot)."""
-        with self._warm_lock:
-            self._warm_keys.pop(workload, None)
-            self._warm_keys[workload] = True
-            while len(self._warm_keys) > _WARM_KEYS_CAP:
-                self._warm_keys.popitem(last=False)
-
-    def warm_workloads(self):
-        """Recently served workloads, oldest first — what a hot-restart
-        replacement should pre-analyze before taking this daemon's
-        traffic."""
-        with self._warm_lock:
-            return list(self._warm_keys)
 
     # ------------------------------------------------------------------
     # Workers

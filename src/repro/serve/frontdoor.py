@@ -20,6 +20,8 @@ the request to a shard.  Everything in front of that lives here, once:
   ``request.admit``;
 * drain: stop accepting, finish in-flight work, dismiss and join the
   executors, release the address;
+* the ``stats`` report and the ``top`` snapshot, with a gateway's shard
+  table when it has one;
 * :meth:`FrontDoor.run`, the foreground runner behind ``repro serve``
   and ``repro fleet``: signals, event log, stats flush, summary line.
 
@@ -114,8 +116,8 @@ class FrontDoor:
     A server sets the class attributes and implements :meth:`_open`
     (start its backend and executors), :meth:`_execute` (one job to one
     response), :meth:`banner` and :meth:`summary`; it may override
-    :meth:`_close_backend` and answer :attr:`local_ops` inline through
-    ``_local_op``.
+    :meth:`_close_backend` and :meth:`shard_table`, and answer
+    :attr:`local_ops` inline through ``_local_op``.
 
     Lifecycle: :meth:`start` binds and spawns threads;
     :meth:`request_drain` (SIGTERM, the ``shutdown`` op, or a test)
@@ -145,6 +147,9 @@ class FrontDoor:
         self._inflight_zero = threading.Condition(self._lock)
         self._drain_requested = threading.Event()
         self.drained = threading.Event()
+        self._top_lock = threading.Lock()
+        self._top_cursor = 0
+        self._top_snapshots = {}  # cursor -> counter snapshot
 
     # ------------------------------------------------------------------
     # Lifecycle
@@ -172,11 +177,65 @@ class FrontDoor:
     def wait_drained(self, timeout=None):
         return self.drained.wait(timeout)
 
+    def shard_table(self):
+        """Per-shard state behind this server (a gateway's), or None."""
+        return None
+
     def build_report(self):
         """The ``repro.obs`` report this server flushes and serves."""
         from repro.obs import report as obs_report
 
-        return obs_report.build_report()
+        report = obs_report.build_report()
+        shards = self.shard_table()
+        if shards is not None:
+            report["shards"] = shards
+        return report
+
+    def top_snapshot(self, cursor=None):
+        """Incremental metrics snapshot for the ``top`` op.
+
+        Returns live server state plus *counter deltas* since the
+        snapshot named by *cursor* (absolute values when the cursor is
+        unknown or absent), gauges, per-op latency percentiles and the
+        shard table, if any.  The response carries a fresh cursor the
+        caller hands back on its next call; a handful of recent
+        snapshots are kept so one slow watcher cannot grow server
+        memory.
+        """
+        registry = _metrics.REGISTRY
+        counters = {name: instrument.value
+                    for name, instrument in registry.counters.items()}
+        with self._top_lock:
+            baseline = self._top_snapshots.get(cursor, {})
+            self._top_cursor += 1
+            fresh = self._top_cursor
+            self._top_snapshots[fresh] = counters
+            while len(self._top_snapshots) > 8:
+                self._top_snapshots.pop(min(self._top_snapshots))
+        deltas = {name: value - baseline.get(name, 0)
+                  for name, value in sorted(counters.items())
+                  if value - baseline.get(name, 0)}
+        gauges = {name: instrument.value
+                  for name, instrument in sorted(registry.gauges.items())
+                  if instrument.value is not None}
+        prefix = self.name + ".latency."
+        latency = {name[len(prefix):]: instrument.snapshot()
+                   for name, instrument in sorted(registry.histograms.items())
+                   if name.startswith(prefix) and instrument.count}
+        snapshot = {
+            "cursor": fresh,
+            "incremental": bool(baseline),
+            "server": self.describe(),
+            "counters": deltas,
+            "gauges": gauges,
+            "latency": latency,
+            "queue_wait": self._queue_wait.snapshot()
+            if self._queue_wait.count else None,
+        }
+        shards = self.shard_table()
+        if shards is not None:
+            snapshot["shards"] = shards
+        return snapshot
 
     def _bind(self):
         family, target = parse_address(self.address)

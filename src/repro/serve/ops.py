@@ -73,19 +73,11 @@ def _checked_tool(params, arch):
     return tool, mode
 
 
-def _resolve_image(server, params):
-    """The Image a request names, via workload or inline base64.
-
-    Workload names are noted on the server as warm keys: they are the
-    handoff snapshot a hot-restart replacement pre-analyzes (inline
-    images are not — re-shipping megabytes of base64 through a restart
-    would cost more than the cold analysis it saves).
-    """
+def _resolve_image(params):
+    """The Image a request names, via workload or inline base64."""
     name = params.get("workload")
     if name is not None:
-        image = _workload_image(name)
-        server.note_warm(name)
-        return image
+        return _workload_image(name)
     blob = params.get("image")
     if blob is not None:
         from repro.binfmt.serialize import FormatError, image_from_bytes
@@ -134,7 +126,7 @@ def _op_ping(server, params):
 
 
 def _op_routines(server, params):
-    exe = _analyzed(server, _resolve_image(server, params))
+    exe = _analyzed(server, _resolve_image(params))
     rows = []
     for routine in sorted(exe.all_routines(), key=lambda r: r.start):
         cfg = routine.control_flow_graph()
@@ -152,7 +144,7 @@ def _op_routines(server, params):
 def _op_disasm(server, params):
     from repro.asm.disassembler import disassemble_section
 
-    image = _resolve_image(server, params)
+    image = _resolve_image(params)
     annotations = {}
     try:
         exe = _analyzed(server, image)
@@ -189,7 +181,7 @@ def _run_simulation(image, params, configure=None):
 
 
 def _op_run(server, params):
-    return _run_simulation(_resolve_image(server, params), params)
+    return _run_simulation(_resolve_image(params), params)
 
 
 def _op_instrument(server, params):
@@ -201,7 +193,7 @@ def _op_instrument(server, params):
                 or not all(isinstance(r, str) for r in routines):
             raise OpError(E_BAD_REQUEST,
                           "'routines' must be a list of routine names")
-    image = _resolve_image(server, params)
+    image = _resolve_image(params)
     tool, mode = _checked_tool(params, image.arch)
     _analyzed(server, image)  # coalesce the cold analysis across requests
     try:
@@ -223,7 +215,6 @@ def _op_verify(server, params):
 
     name = params.get("workload")
     image = _workload_image(name)
-    server.note_warm(name)
     tool, mode = _checked_tool(params, image.arch)
 
     # Identical concurrent verifies coalesce: the leader runs the full
@@ -243,8 +234,9 @@ def _op_verify(server, params):
 
 
 def _op_stats(server, params):
-    """The server's report, narrowed to ``sections`` when given — the
-    one check both the daemon and the fleet gateway apply."""
+    """The server's report, narrowed to ``sections`` (top-level report
+    keys) when given — the one check both the daemon and the fleet
+    gateway apply."""
     report = server.build_report()
     sections = params.get("sections")
     if sections is not None:
@@ -270,18 +262,6 @@ def _op_top(server, params):
     return server.top_snapshot(cursor)
 
 
-def _op_handoff(server, params):
-    """Warm-state snapshot for a hot-restart replacement.
-
-    Returns the workload names this daemon has analyzed recently (its
-    warm key set, newest last).  A replacement shard pre-warms from
-    this list via the ``warm`` op before the old process drains, so a
-    rolling restart never serves cold.
-    """
-    return {"workloads": server.warm_workloads(),
-            "shard": server.config.shard_id}
-
-
 def _op_warm(server, params):
     """Pre-analyze a list of workloads (the hot-restart pre-warm path).
 
@@ -299,7 +279,6 @@ def _op_warm(server, params):
     for name in names:
         try:
             _analyzed(server, _workload_image(name))
-            server.note_warm(name)
             warmed += 1
         except Exception:
             skipped += 1
@@ -315,7 +294,6 @@ HANDLERS = {
     "verify": _op_verify,
     "stats": _op_stats,
     "top": _op_top,
-    "handoff": _op_handoff,
     "warm": _op_warm,
 }
 

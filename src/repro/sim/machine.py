@@ -16,6 +16,7 @@ from repro.isa import bits, get_codec
 from repro.isa.base import Category
 from repro.obs import metrics as _metrics
 from repro.obs.trace import TRACER as _TRACER
+from repro.obs.trace import phase as _phase
 from repro.obs.trace import span as _span
 from repro.sim.memory import Memory, MemoryFault
 from repro.sim.syscalls import ExitProgram, SyscallHandler
@@ -33,6 +34,11 @@ _C_BLK_COMPILES = _metrics.counter("sim.blocks.compiles")
 _C_BLK_EVICTIONS = _metrics.counter("sim.blocks.evictions")
 _C_BLK_INVALIDATIONS = _metrics.counter("sim.blocks.invalidations")
 _C_RUNS = _metrics.counter("sim.runs")
+_metrics.ratio("sim.flyweight.hit_rate", (_C_FLY_HITS,),
+               (_C_FLY_HITS, _C_FLY_MISSES))
+_metrics.ratio("sim.blocks.hit_rate", (_C_BLK_HITS,),
+               (_C_BLK_HITS, _C_BLK_MISSES))
+_phase("sim.run")
 
 # Default cap on prepared-op closures per CPU.  Large enough that a
 # whole program compiles once (hit rates stay ~1), small enough that a

@@ -28,6 +28,7 @@ from repro.cache.store import (
     store_verdict as _store_verdict,
 )
 from repro.obs import metrics as _metrics
+from repro.obs.trace import phase as _phase
 from repro.obs.trace import span as _span
 from repro.verify.context import Finding, VerifyContext
 from repro.verify.cosim import CosimOracle
@@ -54,6 +55,8 @@ _C_PASSED = _metrics.counter("verify.passed")
 _C_FAILED = _metrics.counter("verify.failed")
 _C_MEMO_HITS = _metrics.counter("verify.memo_hits")
 _C_MEMO_MISSES = _metrics.counter("verify.memo_misses")
+_phase("verify.lints")
+_phase("verify.cosim")
 
 
 class VerifyResult:

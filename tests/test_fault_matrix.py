@@ -364,12 +364,12 @@ def test_malformed_stats_request_is_bad_request(stack):
     so a client cannot tell them apart by a malformed request."""
     stack.start()
     with stack.client() as client:
-        kind, error = _answer(client, "stats", sections="serve")
+        kind, error = _answer(client, "stats", sections="counters")
         assert kind == "error" and error.code == protocol.E_BAD_REQUEST
         assert error.message == "'sections' must be a list of section names"
-        kind, error = _answer(client, "stats", sections=["serve", "nope"])
+        kind, error = _answer(client, "stats", sections=["counters", "nope"])
         assert kind == "error" and error.code == protocol.E_BAD_REQUEST
         assert error.message.startswith("unknown report sections: nope ")
-        kind, result = _answer(client, "stats", sections=["serve"])
+        kind, result = _answer(client, "stats", sections=["counters"])
         assert kind == "ok" and sorted(result["report"]) == \
-            ["schema", "serve"]
+            ["counters", "schema"]

@@ -24,6 +24,7 @@ from repro.fleet import (
     route,
 )
 from repro.serve.client import ServeClient, ServeError
+from tests.test_obs import check_v2_report
 
 
 # ----------------------------------------------------------------------
@@ -175,9 +176,10 @@ def test_gateway_roundtrip_affinity_and_telemetry(make_fleet, capsys):
         assert client.last_meta["shard"] in (0, 1)
         stats = client.stats()
         report = stats["report"]
-        shards = report["fleet"]["shards"]
+        check_v2_report(report, extra=["shards"])
+        shards = report["shards"]
         assert sorted(shards) == ["0", "1"]
-        assert report["fleet"]["requests"] >= 3
+        assert report["counters"]["fleet.requests"] >= 3
         served = shards[str(first)]
         assert served["alive"] is True
         assert served["ok"] >= 2

@@ -1,5 +1,6 @@
 """Telemetry subsystem: spans, metrics, report schema, and overhead."""
 
+import importlib
 import json
 import time
 
@@ -7,6 +8,30 @@ import pytest
 
 from repro import obs
 from repro.obs import metrics, report, trace
+
+# The top-level keys of a repro.obs/2 report (a gateway adds "shards").
+V2_KEYS = ["counters", "derived", "gauges", "histograms", "schema", "spans"]
+
+# The modules that declare ratios, loaded so that a report from another
+# process is checked against the same declarations.
+RATIO_OWNERS = ("repro.cache.store", "repro.sim.machine",
+                "repro.core.analysis.indirect", "repro.core.cfg",
+                "repro.core.regalloc", "repro.core.facts.rules",
+                "repro.core.trust", "repro.serve.daemon",
+                "repro.fleet.gateway")
+for _module in RATIO_OWNERS:
+    importlib.import_module(_module)
+
+
+def check_v2_report(built, extra=()):
+    """The repro.obs/2 contract: exactly the v2 keys, and every derived
+    value is a declared ratio over a non-zero denominator."""
+    assert built["schema"] == "repro.obs/2"
+    assert sorted(built) == sorted(V2_KEYS + list(extra))
+    for name, value in built["derived"].items():
+        ratio = metrics.REGISTRY.ratios[name]
+        assert ratio.denominator(built["counters"]) > 0, name
+        assert value == ratio.value(built["counters"])
 
 
 @pytest.fixture(autouse=True)
@@ -152,9 +177,8 @@ def test_phase_spans_feed_latency_histograms():
     assert snap["histograms"]["phase.cfg.build"]["count"] == 1
     assert snap["histograms"]["phase.sim.run"]["count"] == 1
     built = report.build_report()
-    assert "cfg.build" in built["phases"]
-    assert built["phases"]["cfg.build"]["count"] == 1
-    assert "phase.cfg.build.p50" in built["derived"]
+    assert built["histograms"]["phase.cfg.build"]["p50"] is not None
+    assert not any(name.startswith("phase.") for name in built["derived"])
 
 
 def test_disabled_spans_do_not_feed_phase_histograms():
@@ -240,44 +264,12 @@ def test_report_schema_stability(tmp_path):
         obs.counter("indirect.unanalyzable").inc(1)
     built = report.build_report()
     # Top-level key set is the schema contract: widen deliberately only.
-    assert sorted(built) == [
-        "cache", "counters", "derived", "facts", "fleet", "gauges",
-        "histograms", "meta", "phases", "schema", "serve", "sim", "spans",
-    ]
-    assert built["schema"] == "repro.obs/1"
-    assert sorted(built["cache"]) == [
-        "dir", "enabled", "evictions", "hit_rate", "hits", "invalidations",
-        "latency", "misses", "stores",
-    ]
-    assert sorted(built["cache"]["latency"]) == ["load", "store"]
-    assert sorted(built["serve"]) == [
-        "coalesced", "degraded", "errors", "latency", "ok", "ok_rate",
-        "queue_wait", "rejected", "requests", "timeouts", "worker_deaths",
-    ]
-    assert sorted(built["fleet"]) == [
-        "forward_rate", "forwarded", "hot_restarts", "queue_wait",
-        "queues", "rejected", "requests", "rerouted", "respawns",
-        "shard_deaths", "shards",
-    ]
-    assert built["fleet"]["shards"] == {}  # populated only by a gateway
-    assert sorted(built["sim"]) == [
-        "blocks", "default_engine", "flyweight", "instructions", "runs",
-    ]
-    assert sorted(built["sim"]["flyweight"]) == [
-        "compiles", "evictions", "hit_rate", "hits", "misses",
-    ]
-    assert sorted(built["sim"]["blocks"]) == [
-        "compiles", "evictions", "hit_rate", "hits", "invalidations",
-        "misses",
-    ]
-    from repro.sim import ENGINES
-    assert built["sim"]["default_engine"] in ENGINES
-    assert sorted(built["meta"]) == [
-        "present", "reject_reasons", "rejects", "trust_rate", "trusted",
-    ]
+    check_v2_report(built)
     assert built["derived"]["sim.flyweight.hit_rate"] == 0.9
-    assert built["derived"]["indirect.resolved"] == 3
-    assert built["derived"]["indirect.fallback"] == 1
+    assert built["derived"]["indirect.resolved_rate"] == 0.75
+    # A ratio over an all-zero denominator is absent, not None.
+    assert "sim.blocks.hit_rate" not in built["derived"]
+    assert built["counters"]["indirect.table"] == 3
     span_node = built["spans"][0]
     assert sorted(span_node) == ["attrs", "children", "duration_s", "name"]
     # dump() writes valid, key-sorted JSON that round-trips.
@@ -288,16 +280,38 @@ def test_report_schema_stability(tmp_path):
     assert on_disk["counters"] == built["counters"]
 
 
+def test_ratio_declarations_compute_derived():
+    part = obs.counter("test.ratio.part")
+    rest = obs.counter("test.ratio.rest")
+    metrics.ratio("test.ratio.share", (part,), (part, rest))
+    metrics.ratio("test.ratio.complement", (part,), (part, rest),
+                  complement=True)
+    try:
+        assert "test.ratio.share" not in report.build_report()["derived"]
+        part.inc(1)
+        rest.inc(3)
+        derived = report.build_report()["derived"]
+        assert derived["test.ratio.share"] == 0.25
+        assert derived["test.ratio.complement"] == 0.75
+    finally:
+        metrics.REGISTRY.ratios.pop("test.ratio.share")
+        metrics.REGISTRY.ratios.pop("test.ratio.complement")
+
+
 def test_bench_results_schema(tmp_path):
     path = tmp_path / "BENCH_RESULTS.json"
     payload = report.write_bench_results(
-        str(path), [report.bench_record("e12.fib.slowdown", 1.31, "x")]
+        str(path), [report.bench_record("e12.fib.slowdown", 1.31, "x",
+                                        "lower")]
     )
-    assert payload["schema"] == "repro.obs.bench/1"
+    assert payload["schema"] == "repro.obs.bench/2"
     on_disk = json.loads(path.read_text())
     assert on_disk["results"] == [
-        {"name": "e12.fib.slowdown", "value": 1.31, "unit": "x"}
+        {"name": "e12.fib.slowdown", "value": 1.31, "unit": "x",
+         "better": "lower"}
     ]
+    with pytest.raises(ValueError):
+        report.bench_record("e12.fib.slowdown", 1.31, "x", "neither")
 
 
 # ----------------------------------------------------------------------

@@ -21,6 +21,7 @@ from repro.obs import metrics
 from repro.serve import EditServer, ServeConfig
 from repro.serve.client import ServeClient, ServeError, wait_for_daemon
 from repro.serve import daemon, protocol
+from tests.test_obs import check_v2_report
 
 SRC = os.path.join(os.path.dirname(__file__), os.pardir, "src")
 FAULTS = os.path.join(os.path.dirname(__file__), "faults.py")
@@ -134,7 +135,9 @@ def test_ping_run_and_stats_roundtrip(make_server):
         assert result["exit_code"] == 0
         assert result["output"] == "fib 1597\n"
         stats = client.stats()
-        assert stats["report"]["serve"]["requests"] >= 2
+        check_v2_report(stats["report"])
+        assert stats["report"]["counters"]["serve.requests"] >= 2
+        assert stats["report"]["derived"]["serve.ok_rate"] > 0
         assert stats["server"]["degraded"] is False
 
 
@@ -390,11 +393,9 @@ def test_sigterm_drains_cleanly_with_stats_flush(tmp_path):
         assert not os.path.exists(sock)
         with open(stats) as handle:
             report = json.load(handle)
-        assert report["schema"] == "repro.obs/1"
-        assert report["serve"]["requests"] >= 3
-        assert report["serve"]["ok"] >= 3
-        assert report["counters"]["serve.requests"] == \
-            report["serve"]["requests"]
+        check_v2_report(report)
+        assert report["counters"]["serve.requests"] >= 3
+        assert report["counters"]["serve.responses.ok"] >= 3
     finally:
         if proc.poll() is None:
             proc.kill()
